@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <string>
+
+#include "data/synthetic.h"
+#include "train/trainer.h"
+
 namespace mllibstar {
 namespace {
 
@@ -142,6 +151,146 @@ TEST(ConsistencyTest, SspZeroStalenessEqualsBsp) {
         ConsistencyStartTime(ConsistencyKind::kBsp, 0, 0, round, finish));
   }
 }
+
+// --------------------------------------------------------- golden pins
+//
+// The PS event loop's output pinned against constants: FNV-1a over the
+// final weights' bit patterns and over the TraceLog CSV bytes. The
+// hostpar/fault/membership suites compare two runs of the same code,
+// which cannot catch a change that shifts both runs alike; these rows
+// catch any drift in pop order, parked-retry order, barrier times or
+// round completion. A constant only changes with a documented change
+// of the simulated semantics.
+
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
+
+uint64_t FnvBytes(const std::string& bytes) {
+  uint64_t h = kFnvOffset;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+uint64_t WeightsFnv(const DenseVector& w) {
+  std::string bytes(w.dim() * sizeof(double), '\0');
+  for (size_t i = 0; i < w.dim(); ++i) {
+    const double v = w[i];
+    std::memcpy(&bytes[i * sizeof(double)], &v, sizeof(double));
+  }
+  return FnvBytes(bytes);
+}
+
+uint64_t TraceCsvFnv(const TraceLog& trace, const std::string& tag) {
+  const std::string path = ::testing::TempDir() + "ps_golden_" + tag + ".csv";
+  EXPECT_TRUE(trace.WriteCsv(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return FnvBytes(bytes);
+}
+
+enum class GoldenScenario { kPlain, kChurn, kCrash };
+
+struct GoldenRow {
+  const char* name;
+  SystemKind system;
+  ConsistencyKind consistency;
+  int staleness;
+  GoldenScenario scenario;
+  uint64_t weights_fnv;
+  uint64_t trace_fnv;
+};
+
+class PsGoldenTest : public ::testing::TestWithParam<GoldenRow> {};
+
+TEST_P(PsGoldenTest, WeightsAndTraceMatchPinnedChecksums) {
+  const GoldenRow& row = GetParam();
+  static const Dataset data = GenerateSynthetic(UrlSpec(1e-3));
+
+  ClusterConfig cluster = ClusterConfig::Cluster2(64);
+  switch (row.scenario) {
+    case GoldenScenario::kPlain:
+      break;
+    case GoldenScenario::kChurn:
+      // Leaves and a rejoin inside the run, plus one shard departure.
+      cluster.churn.heartbeat_interval_sec = 0.05;
+      cluster.churn.suspicion_timeout_sec = 0.1;
+      cluster.churn.leaves = {{3, 0.5}, {17, 1.1}};
+      cluster.churn.rejoins = {{3, 1.8}};
+      cluster.churn.server_leaves = {{1, 0.9}};
+      break;
+    case GoldenScenario::kCrash:
+      cluster.faults.worker_crashes = {{5, 0.4}, {40, 1.0}};
+      cluster.faults.server_crashes = {{0, 0.7}};
+      cluster.faults.executor_restart_seconds = 0.2;
+      cluster.faults.server_restart_seconds = 0.2;
+      break;
+  }
+
+  TrainerConfig config;
+  config.loss = LossKind::kLogistic;
+  config.base_lr = 0.5;
+  config.lr_schedule = LrScheduleKind::kConstant;
+  config.batch_fraction = 1.0;
+  config.max_comm_steps = 8;
+  config.seed = 23;
+  config.ps.num_shards = 8;
+  config.ps.consistency = row.consistency;
+  config.ps.staleness = row.staleness;
+
+  const TrainResult result =
+      MakeTrainer(row.system, config)->Train(data, cluster);
+  const uint64_t weights_fnv = WeightsFnv(result.final_weights);
+  const uint64_t trace_fnv = TraceCsvFnv(result.trace, row.name);
+  EXPECT_EQ(weights_fnv, row.weights_fnv) << std::hex << "0x" << weights_fnv;
+  EXPECT_EQ(trace_fnv, row.trace_fnv) << std::hex << "0x" << trace_fnv;
+}
+
+constexpr GoldenRow kGoldenRows[] = {
+    {"petuum_bsp", SystemKind::kPetuum, ConsistencyKind::kBsp, 0,
+     GoldenScenario::kPlain,
+     0x0344bb6e85e239c7ULL, 0x0c86db627204a71fULL},
+    {"petuum_ssp2", SystemKind::kPetuum, ConsistencyKind::kSsp, 2,
+     GoldenScenario::kPlain,
+     0x52c42aa72907ebceULL, 0xbd04b84d1ac52bd0ULL},
+    {"petuum_asp", SystemKind::kPetuum, ConsistencyKind::kAsp, 0,
+     GoldenScenario::kPlain,
+     0xa2f79d5e4c7d5103ULL, 0x217c0c7479b31245ULL},
+    {"petuumstar_bsp", SystemKind::kPetuumStar, ConsistencyKind::kBsp, 0,
+     GoldenScenario::kPlain,
+     0xcc6b781fb7022aefULL, 0x31a366396a0d45f9ULL},
+    {"petuumstar_ssp2", SystemKind::kPetuumStar, ConsistencyKind::kSsp, 2,
+     GoldenScenario::kPlain,
+     0xec0ab78c502b76dfULL, 0xbaef57c25d1e49f4ULL},
+    {"petuumstar_asp", SystemKind::kPetuumStar, ConsistencyKind::kAsp, 0,
+     GoldenScenario::kPlain,
+     0x9d57cb67554dda5cULL, 0x0119874d4d148e1dULL},
+    {"angel_bsp", SystemKind::kAngel, ConsistencyKind::kBsp, 0,
+     GoldenScenario::kPlain,
+     0x2ef7cb99d9dc4878ULL, 0xbab7a771bea2998fULL},
+    {"angel_ssp2", SystemKind::kAngel, ConsistencyKind::kSsp, 2,
+     GoldenScenario::kPlain,
+     0xcbe3e6f49a0c3be4ULL, 0x9ca4babe05d587edULL},
+    {"angel_asp", SystemKind::kAngel, ConsistencyKind::kAsp, 0,
+     GoldenScenario::kPlain,
+     0x84a8b390ace68577ULL, 0xbeec236ecb338d8aULL},
+    {"petuumstar_bsp_churn", SystemKind::kPetuumStar, ConsistencyKind::kBsp,
+     0, GoldenScenario::kChurn,
+     0x8c0cb500b1acc472ULL, 0x3e96870a4211bc93ULL},
+    {"petuum_ssp2_crash", SystemKind::kPetuum, ConsistencyKind::kSsp, 2,
+     GoldenScenario::kCrash,
+     0xb4f1aa573cd5ff0dULL, 0x30029c24a9e34ccaULL},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, PsGoldenTest, ::testing::ValuesIn(kGoldenRows),
+    [](const ::testing::TestParamInfo<GoldenRow>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace mllibstar
