@@ -269,34 +269,193 @@ void PsContext::FinalizeAverage() {
   MaybeServerCheckpoint();
 }
 
-SimTime ConsistencyStartTime(
-    ConsistencyKind kind, int staleness, size_t worker, int round,
-    const std::vector<std::vector<SimTime>>& finish_times) {
-  // Own previous round always gates the next one.
-  SimTime start = 0.0;
-  if (round > 0 &&
-      static_cast<size_t>(round - 1) < finish_times[worker].size()) {
-    start = finish_times[worker][round - 1];
-  }
+ConsistencyTracker::ConsistencyTracker(ConsistencyKind kind, int staleness,
+                                       size_t num_workers)
+    : kind_(kind), staleness_(staleness) {
+  Reset(std::vector<bool>(num_workers, true),
+        std::vector<int>(num_workers, 0), std::vector<int>(num_workers, 0),
+        std::vector<std::vector<SimTime>>(num_workers));
+}
 
-  int barrier_round = -1;
-  switch (kind) {
-    case ConsistencyKind::kAsp:
-      return start;
-    case ConsistencyKind::kBsp:
-      barrier_round = round - 1;
-      break;
-    case ConsistencyKind::kSsp:
-      barrier_round = round - 1 - staleness;
-      break;
-  }
-  if (barrier_round < 0) return start;
-  for (const std::vector<SimTime>& times : finish_times) {
-    if (static_cast<size_t>(barrier_round) < times.size()) {
-      start = std::max(start, times[barrier_round]);
+void ConsistencyTracker::Reset(const std::vector<bool>& active,
+                               const std::vector<int>& join_round,
+                               const std::vector<int>& rounds_done,
+                               std::vector<std::vector<SimTime>> finish_times) {
+  const size_t k = active.size();
+  MLLIBSTAR_CHECK_EQ(join_round.size(), k);
+  MLLIBSTAR_CHECK_EQ(rounds_done.size(), k);
+  MLLIBSTAR_CHECK_EQ(finish_times.size(), k);
+  active_ = active;
+  join_round_ = join_round;
+  rounds_done_ = rounds_done;
+  finish_times_ = std::move(finish_times);
+
+  round_finish_max_.clear();
+  for (const std::vector<SimTime>& times : finish_times_) {
+    if (times.size() > round_finish_max_.size()) {
+      round_finish_max_.resize(times.size(), 0.0);
+    }
+    for (size_t t = 0; t < times.size(); ++t) {
+      round_finish_max_[t] = std::max(round_finish_max_[t], times[t]);
     }
   }
+
+  active_per_round_.clear();
+  num_active_ = 0;
+  min_round_ = 0;
+  leader_ = 0;
+  expected_delta_.clear();
+  expected_.clear();
+  for (size_t w = 0; w < k; ++w) {
+    leader_ = std::max(leader_, rounds_done_[w]);
+    if (active_[w]) AddActiveRound(rounds_done_[w]);
+    AddParticipation(w, +1);
+  }
+  ExtendExpected();
+}
+
+void ConsistencyTracker::FinishRound(size_t w, SimTime at) {
+  const int t = rounds_done_[w];
+  std::vector<SimTime>& times = finish_times_[w];
+  if (static_cast<size_t>(t) >= times.size()) times.resize(t + 1, 0.0);
+  times[t] = at;
+  if (static_cast<size_t>(t) >= round_finish_max_.size()) {
+    round_finish_max_.resize(t + 1, 0.0);
+  }
+  round_finish_max_[t] = std::max(round_finish_max_[t], at);
+
+  if (active_[w]) {
+    // Participation [join, inf) does not depend on rounds_done.
+    AddActiveRound(t + 1);
+    RemoveActiveRound(t);
+    rounds_done_[w] = t + 1;
+  } else {
+    AddParticipation(w, -1);
+    rounds_done_[w] = t + 1;
+    AddParticipation(w, +1);
+  }
+  SetLeader(t + 1);
+}
+
+void ConsistencyTracker::Admit(size_t w, int round) {
+  MLLIBSTAR_CHECK_GE(round, rounds_done_[w]);
+  AddParticipation(w, -1);
+  if (active_[w]) {
+    AddActiveRound(round);
+    RemoveActiveRound(rounds_done_[w]);
+  }
+  rounds_done_[w] = round;
+  join_round_[w] = round;
+  AddParticipation(w, +1);
+  SetLeader(round);
+}
+
+void ConsistencyTracker::SetActive(size_t w, bool active) {
+  if (active_[w] == active) return;
+  AddParticipation(w, -1);
+  if (active) {
+    AddActiveRound(rounds_done_[w]);
+  } else {
+    RemoveActiveRound(rounds_done_[w]);
+  }
+  active_[w] = active;
+  AddParticipation(w, +1);
+}
+
+bool ConsistencyTracker::Blocked(int round) const {
+  if (kind_ == ConsistencyKind::kAsp || num_active_ == 0) return false;
+  const int gate =
+      round - 1 - (kind_ == ConsistencyKind::kSsp ? staleness_ : 0);
+  return gate >= 0 && min_round_ <= gate;
+}
+
+int ConsistencyTracker::MaxActiveRoundExcept(size_t except) const {
+  for (size_t t = active_per_round_.size(); t-- > 0;) {
+    size_t n = active_per_round_[t];
+    if (active_[except] && static_cast<size_t>(rounds_done_[except]) == t) {
+      --n;
+    }
+    if (n > 0) return static_cast<int>(t);
+  }
+  return -1;
+}
+
+SimTime ConsistencyTracker::StartTime(size_t w, int round) const {
+  // Own previous round always gates the next one.
+  SimTime start = 0.0;
+  const std::vector<SimTime>& own = finish_times_[w];
+  if (round > 0 && static_cast<size_t>(round - 1) < own.size()) {
+    start = own[round - 1];
+  }
+  if (kind_ == ConsistencyKind::kAsp) return start;
+  const int barrier_round =
+      round - 1 - (kind_ == ConsistencyKind::kSsp ? staleness_ : 0);
+  if (barrier_round >= 0 &&
+      static_cast<size_t>(barrier_round) < round_finish_max_.size()) {
+    start = std::max(start, round_finish_max_[barrier_round]);
+  }
   return start;
+}
+
+size_t ConsistencyTracker::ExpectedPushes(int t) const {
+  if (t < 0) return 0;
+  if (static_cast<size_t>(t) < expected_.size()) {
+    return static_cast<size_t>(expected_[t]);
+  }
+  int64_t n = expected_.empty() ? 0 : expected_.back();
+  for (size_t x = expected_.size();
+       x <= static_cast<size_t>(t) && x < expected_delta_.size(); ++x) {
+    n += expected_delta_[x];
+  }
+  return static_cast<size_t>(n);
+}
+
+void ConsistencyTracker::AddActiveRound(int round) {
+  if (static_cast<size_t>(round) >= active_per_round_.size()) {
+    active_per_round_.resize(round + 1, 0);
+  }
+  ++active_per_round_[round];
+  if (num_active_ == 0 || round < min_round_) min_round_ = round;
+  ++num_active_;
+}
+
+void ConsistencyTracker::RemoveActiveRound(int round) {
+  --active_per_round_[round];
+  --num_active_;
+  if (num_active_ == 0) return;
+  while (active_per_round_[min_round_] == 0) ++min_round_;
+}
+
+void ConsistencyTracker::AddParticipation(size_t w, int sign) {
+  const int lo = join_round_[w];
+  const int hi = active_[w] ? kNeverJoined : rounds_done_[w];
+  if (lo == kNeverJoined || hi <= lo) return;
+  auto bump = [this](int at, int64_t by) {
+    if (static_cast<size_t>(at) >= expected_delta_.size()) {
+      expected_delta_.resize(at + 1, 0);
+    }
+    expected_delta_[at] += by;
+  };
+  bump(lo, sign);
+  if (hi != kNeverJoined) bump(hi, -sign);
+  const size_t end =
+      std::min(static_cast<size_t>(hi), expected_.size());
+  for (size_t t = lo; t < end; ++t) expected_[t] += sign;
+}
+
+void ConsistencyTracker::ExtendExpected() {
+  while (expected_.size() <= static_cast<size_t>(leader_)) {
+    const size_t t = expected_.size();
+    int64_t n = t == 0 ? 0 : expected_[t - 1];
+    if (t < expected_delta_.size()) n += expected_delta_[t];
+    expected_.push_back(n);
+  }
+}
+
+void ConsistencyTracker::SetLeader(int round) {
+  if (round <= leader_) return;
+  leader_ = round;
+  ExtendExpected();
 }
 
 }  // namespace mllibstar

@@ -2,6 +2,7 @@
 #define MLLIBSTAR_PS_PARAMETER_SERVER_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -185,14 +186,100 @@ class PsContext {
   SimTime last_push_end_ = 0.0;
 };
 
-/// Returns the virtual time at which a worker may start round `round`
-/// under the given consistency model, given each worker's completion
-/// time per finished round. `finish_times[r][t]` is worker r's
-/// completion time of round t; rounds not yet run are absent.
-SimTime ConsistencyStartTime(ConsistencyKind kind, int staleness,
-                             size_t worker, int round,
-                             const std::vector<std::vector<SimTime>>&
-                                 finish_times);
+/// Per-worker round progress of a PS event loop, kept incrementally so
+/// that every question a per-event handler asks is O(1) (amortized):
+/// may a round start yet (the BSP/SSP gate), when (the barrier time),
+/// how far the fleet has got (leader), and how many pushes a round
+/// owes before it completes. Only fleet-membership transitions pay
+/// O(rounds).
+///
+/// A worker is *active* while it belongs to the fleet (pending and
+/// departed workers neither hold the gate nor push). It participates
+/// from its join round on; a departed worker still owes the rounds it
+/// already pushed and nothing after.
+class ConsistencyTracker {
+ public:
+  /// join_round of a worker that has never been admitted.
+  static constexpr int kNeverJoined = std::numeric_limits<int>::max();
+
+  /// `num_workers` active workers, all joined at round 0, nothing
+  /// finished yet.
+  ConsistencyTracker(ConsistencyKind kind, int staleness, size_t num_workers);
+
+  /// Replaces the whole state (fresh start or checkpoint resume).
+  /// `finish_times[w][t]` is worker w's completion time of round t
+  /// (0 for rounds it skipped); rounds not yet run are absent.
+  void Reset(const std::vector<bool>& active,
+             const std::vector<int>& join_round,
+             const std::vector<int>& rounds_done,
+             std::vector<std::vector<SimTime>> finish_times);
+
+  int rounds_done(size_t w) const { return rounds_done_[w]; }
+  int join_round(size_t w) const { return join_round_[w]; }
+  const std::vector<std::vector<SimTime>>& finish_times() const {
+    return finish_times_;
+  }
+
+  /// Worker w's push of its current round landed at `at`: records the
+  /// finish time and moves w on to the next round.
+  void FinishRound(size_t w, SimTime at);
+  /// Admits w at `round` (a join or rejoin): it has done `round` rounds
+  /// and participates from there on. `round` >= rounds_done(w).
+  void Admit(size_t w, int round);
+  /// Mirrors w's fleet status (the membership tracker's IsActive).
+  void SetActive(size_t w, bool active);
+
+  /// True while round `round` may not start: under BSP/SSP some active
+  /// worker has not finished round `round - 1 - staleness` yet.
+  bool Blocked(int round) const;
+  /// The gate frontier: smallest rounds_done over active workers
+  /// (meaningless while none is active). Only moves forward between
+  /// membership transitions; parked workers can only unblock when it
+  /// does.
+  int frontier() const { return min_round_; }
+  /// Largest rounds_done any worker ever reached.
+  int leader() const { return leader_; }
+  /// Largest rounds_done over active workers other than `except`, or
+  /// -1 when there is none. O(rounds); for membership transitions.
+  int MaxActiveRoundExcept(size_t except) const;
+
+  /// Virtual time at which worker w may start `round`: its own
+  /// previous round's finish, and under BSP/SSP the latest finish of
+  /// round `round - 1 - staleness` by any worker.
+  SimTime StartTime(size_t w, int round) const;
+
+  /// Pushes round t needs before it is complete: every worker that
+  /// joined by round t and has not departed with the push still owed.
+  size_t ExpectedPushes(int t) const;
+
+ private:
+  /// Gate multiset: count of active workers per rounds_done value.
+  void AddActiveRound(int round);
+  void RemoveActiveRound(int round);
+  /// Adds `sign` to ExpectedPushes over w's participation interval
+  /// [join_round, active ? inf : rounds_done).
+  void AddParticipation(size_t w, int sign);
+  /// Materializes expected_ for every round up to leader_.
+  void ExtendExpected();
+  void SetLeader(int round);
+
+  ConsistencyKind kind_;
+  int staleness_;
+  std::vector<bool> active_;
+  std::vector<int> join_round_;
+  std::vector<int> rounds_done_;
+  std::vector<std::vector<SimTime>> finish_times_;
+  /// Latest finish time per round over all workers (the barrier).
+  std::vector<SimTime> round_finish_max_;
+  std::vector<size_t> active_per_round_;
+  size_t num_active_ = 0;
+  int min_round_ = 0;
+  int leader_ = 0;
+  /// ExpectedPushes(t) = sum of expected_delta_[0..t]; expected_ holds
+  /// that prefix sum for t <= leader_.
+  std::vector<int64_t> expected_delta_;
+  std::vector<int64_t> expected_;
+};
 
 }  // namespace mllibstar
 

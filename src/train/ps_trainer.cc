@@ -123,6 +123,8 @@ TrainResult PsTrainer::Train(const Dataset& data,
   }
 
   ErrorFeedback ef = MakeErrorFeedback(codec(), config().codec, k, d);
+  // Per-worker progress as checkpointed; the ConsistencyTracker below
+  // takes it over once setup/resume is done.
   std::vector<std::vector<SimTime>> finish_times(k);
   std::vector<int> rounds_done(k, 0);
   std::vector<DenseVector> pending_delta(k);  // between pull and push
@@ -144,10 +146,11 @@ TrainResult PsTrainer::Train(const Dataset& data,
   // queued events of an evicted worker: a push that pops after its
   // eviction tick is dropped, never applied.
   MembershipTracker& membership = sim.membership();
-  const int kNeverJoined = std::numeric_limits<int>::max();
   std::vector<int> join_round(k, 0);
   for (size_t r = 0; r < k; ++r) {
-    if (!membership.IsActive(r)) join_round[r] = kNeverJoined;
+    if (!membership.IsActive(r)) {
+      join_round[r] = ConsistencyTracker::kNeverJoined;
+    }
   }
   std::vector<uint64_t> incarnation(k, 0);
   std::vector<SimTime> admit_time(k, 0.0);
@@ -226,6 +229,16 @@ TrainResult PsTrainer::Train(const Dataset& data,
     }
   }
 
+  // Gate, barrier, leader and expected-push counts, all incremental.
+  // Its active flags mirror the membership tracker's: they are synced
+  // right after every AdvanceTo, the only call that changes them.
+  ConsistencyTracker progress(ps.consistency, ps.staleness, k);
+  {
+    std::vector<bool> active(k);
+    for (size_t r = 0; r < k; ++r) active[r] = membership.IsActive(r);
+    progress.Reset(active, join_round, rounds_done, std::move(finish_times));
+  }
+
   result.curve.set_label(name());
   result.curve.Add(resumed_round, 0.0, Eval(data, server.model()));
 
@@ -285,9 +298,11 @@ TrainResult PsTrainer::Train(const Dataset& data,
 
   // Event queue: (time, phase, worker, incarnation), earliest first.
   // Workers whose next round is blocked on the consistency barrier
-  // wait in `parked` and are reconsidered whenever any worker finishes
-  // a round or the membership changes. The incarnation tag makes the
-  // queued events of an evicted worker recognizably stale.
+  // wait in `parked` and are reconsidered, in parking order, whenever
+  // the gate frontier advances, the round budget shrinks or the
+  // membership changes — nothing else can unblock them. The
+  // incarnation tag makes the queued events of an evicted worker
+  // recognizably stale.
   enum Phase { kPull = 0, kPush = 1 };
   using Event = std::tuple<SimTime, int, size_t, uint64_t>;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue;
@@ -298,24 +313,13 @@ TrainResult PsTrainer::Train(const Dataset& data,
   // still-pending workers neither schedule nor hold the gate.
   auto try_schedule_pull = [&](size_t r) {
     if (!membership.IsActive(r)) return;
-    const int round = rounds_done[r];
+    const int round = progress.rounds_done(r);
     if (round >= max_rounds) return;
-    if (ps.consistency != ConsistencyKind::kAsp) {
-      const int gate =
-          round - 1 -
-          (ps.consistency == ConsistencyKind::kSsp ? ps.staleness : 0);
-      if (gate >= 0) {
-        for (size_t v = 0; v < k; ++v) {
-          if (!membership.IsActive(v)) continue;
-          if (rounds_done[v] <= gate) {
-            parked.push_back(r);
-            return;
-          }
-        }
-      }
+    if (progress.Blocked(round)) {
+      parked.push_back(r);
+      return;
     }
-    const SimTime barrier = ConsistencyStartTime(
-        ps.consistency, ps.staleness, r, round, finish_times);
+    const SimTime barrier = progress.StartTime(r, round);
     SimNode& node = sim.worker(r);
     if (node.clock < barrier) {
       sim.trace().Record(node.name, node.clock, barrier, ActivityKind::kWait,
@@ -351,6 +355,9 @@ TrainResult PsTrainer::Train(const Dataset& data,
     ComputeStats stats;     ///< filled by the compute task
   };
   std::vector<std::unique_ptr<InflightCompute>> inflight;
+  // Lower bound on every in-flight compute's push time: the earliest
+  // pull completion among them (reset by drain()).
+  SimTime inflight_bound = std::numeric_limits<SimTime>::infinity();
   const size_t host_threads = ResolveHostThreads(config().host_threads);
   std::unique_ptr<ThreadPool> pool;
   if (host_threads > 1 && k > 1) {
@@ -397,18 +404,13 @@ TrainResult PsTrainer::Train(const Dataset& data,
       queue.emplace(node.clock, kPush, fl->worker, fl->inc);
     }
     inflight.clear();
+    inflight_bound = std::numeric_limits<SimTime>::infinity();
   };
 
-  // How many pushes round t needs before it is complete: every worker
-  // that had joined by round t and has not departed with the push
-  // still owed. Reduces to k when the membership never changes.
-  auto expected_pushes = [&](int t) -> size_t {
-    size_t n = 0;
-    for (size_t v = 0; v < k; ++v) {
-      if (join_round[v] > t) continue;
-      if (membership.IsActive(v) || rounds_done[v] > t) ++n;
-    }
-    return n;
+  auto retry_parked = [&] {
+    std::vector<size_t> to_retry;
+    std::swap(parked, to_retry);
+    for (size_t v : to_retry) try_schedule_pull(v);
   };
 
   bool stop_all = false;
@@ -420,7 +422,9 @@ TrainResult PsTrainer::Train(const Dataset& data,
   auto complete_round = [&](int t) {
     if (t < 0 || static_cast<size_t>(t) >= round_pushes.size()) return;
     if (round_complete[t]) return;
-    const size_t expected = expected_pushes(t);
+    // Every worker that joined by round t and has not departed with
+    // the push still owed; k when the membership never changes.
+    const size_t expected = progress.ExpectedPushes(t);
     if (round_pushes[t] < expected || round_pushes[t] == 0) return;
     round_complete[t] = true;
     if (membership.enabled() && expected < k) {
@@ -466,10 +470,9 @@ TrainResult PsTrainer::Train(const Dataset& data,
         profile.sim_start = profile_frontier;
         profile.sim_end = round_end[t];
         std::vector<double> offsets;
-        for (size_t v = 0; v < k; ++v) {
-          if (finish_times[v].size() > static_cast<size_t>(t) &&
-              finish_times[v][t] > 0.0) {
-            offsets.push_back(finish_times[v][t]);
+        for (const std::vector<SimTime>& times : progress.finish_times()) {
+          if (times.size() > static_cast<size_t>(t) && times[t] > 0.0) {
+            offsets.push_back(times[t]);
           }
         }
         if (!offsets.empty()) {
@@ -521,17 +524,19 @@ TrainResult PsTrainer::Train(const Dataset& data,
       ck.PutRngState(sim.faults().mutable_rng()->SaveState());
       ck.PutDoubles(sim.SaveClocks());
       ck.PutU64(k);
-      for (size_t v = 0; v < k; ++v) ck.PutDoubles(finish_times[v]);
+      for (const std::vector<SimTime>& times : progress.finish_times()) {
+        ck.PutDoubles(times);
+      }
       PutErrorFeedback(&ck, ef);
       {
         const std::vector<uint64_t> mwords = membership.SaveWords();
         ck.PutU64(mwords.size());
         for (uint64_t w : mwords) ck.PutU64(w);
         for (size_t v = 0; v < k; ++v) {
-          ck.PutU64(static_cast<uint64_t>(join_round[v]));
+          ck.PutU64(static_cast<uint64_t>(progress.join_round(v)));
         }
         for (size_t v = 0; v < k; ++v) {
-          ck.PutU64(static_cast<uint64_t>(rounds_done[v]));
+          ck.PutU64(static_cast<uint64_t>(progress.rounds_done(v)));
         }
         ck.PutDoubles(
             std::vector<double>(admit_time.begin(), admit_time.end()));
@@ -573,6 +578,13 @@ TrainResult PsTrainer::Train(const Dataset& data,
     if (!membership.enabled()) return;
     const std::vector<MembershipEvent> events = membership.AdvanceTo(now);
     if (events.empty()) return;
+    // AdvanceTo has already applied the whole batch to the fleet view;
+    // the tracker follows suit before any event below reads the gate.
+    for (const MembershipEvent& ev : events) {
+      if (ev.kind != MembershipEvent::Kind::kServerLeave) {
+        progress.SetActive(ev.node, membership.IsActive(ev.node));
+      }
+    }
     Telemetry& obs = Telemetry::Get();
     for (const MembershipEvent& ev : events) {
       switch (ev.kind) {
@@ -611,13 +623,10 @@ TrainResult PsTrainer::Train(const Dataset& data,
           // live model and contributes from the fleet's frontier, not
           // from round 0 (a rejoiner never re-pushes rounds it already
           // finished in a previous incarnation).
-          int leader = last_completed_round;
-          for (size_t v = 0; v < k; ++v) {
-            if (v == ev.node || !membership.IsActive(v)) continue;
-            leader = std::max(leader, rounds_done[v]);
-          }
-          rounds_done[ev.node] = std::max(rounds_done[ev.node], leader);
-          join_round[ev.node] = rounds_done[ev.node];
+          const int leader = std::max(
+              last_completed_round, progress.MaxActiveRoundExcept(ev.node));
+          progress.Admit(ev.node,
+                         std::max(progress.rounds_done(ev.node), leader));
           admit_time[ev.node] = ev.detected_at;
           pending_catchup[ev.node] = true;
           if (obs.enabled()) {
@@ -636,9 +645,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
           break;
       }
     }
-    std::vector<size_t> to_retry;
-    std::swap(parked, to_retry);
-    for (size_t v : to_retry) try_schedule_pull(v);
+    retry_parked();
   };
 
   while (true) {
@@ -662,11 +669,8 @@ TrainResult PsTrainer::Train(const Dataset& data,
     }
     const auto [time, phase, r, inc] = queue.top();
     if (!inflight.empty()) {
-      SimTime bound = std::numeric_limits<SimTime>::infinity();
-      for (const std::unique_ptr<InflightCompute>& fl : inflight) {
-        bound = std::min(bound, fl->pull_end);
-      }
-      const bool safe = phase == kPull ? time <= bound : time < bound;
+      const bool safe =
+          phase == kPull ? time <= inflight_bound : time < inflight_bound;
       if (!safe) {
         drain();
         continue;
@@ -684,7 +688,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
       continue;
     }
     SimNode& node = sim.worker(r);
-    const int round = rounds_done[r];
+    const int round = progress.rounds_done(r);
 
     if (phase == kPull) {
       server.TimePull(&node, pull_bytes[r]);
@@ -695,6 +699,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
       fl->inc = inc;
       fl->jitter = sim.NextJitter();
       fl->pull_end = node.clock;
+      inflight_bound = std::min(inflight_bound, node.clock);
       fl->snapshot = CodecTransmit(codec(), nullptr, 0, server.model());
       fl->local = fl->snapshot;
       InflightCompute* task = fl.get();
@@ -753,8 +758,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
     // delta never touches the model. SSP's scheduling gate already
     // bounds the spread to staleness + 1, so this only fires under
     // ASP, where nothing else protects the model from ancient deltas.
-    const int leader =
-        *std::max_element(rounds_done.begin(), rounds_done.end());
+    const int leader = progress.leader();
     const bool stale =
         ps.discard_stale_pushes && leader - round > ps.staleness + 1;
     if (stale) {
@@ -775,22 +779,20 @@ TrainResult PsTrainer::Train(const Dataset& data,
     pending_delta[r] = DenseVector();  // release
     ++round_pushes[round];
     round_end[round] = std::max(round_end[round], node.clock);
-    // Round-indexed (not appended): a joiner admitted at the frontier
-    // skips earlier rounds, whose slots stay 0 and never gate anyone.
-    if (static_cast<size_t>(round) >= finish_times[r].size()) {
-      finish_times[r].resize(round + 1, 0.0);
-    }
-    finish_times[r][round] = node.clock;
-    ++rounds_done[r];
+    const int frontier = progress.frontier();
+    const int round_budget = max_rounds;
+    progress.FinishRound(r, node.clock);
 
     complete_round(round);
     if (stop_all) break;
 
-    // This push may have unblocked parked workers (the gate condition
-    // is per-worker progress, not whole-round completion).
-    std::vector<size_t> to_retry;
-    std::swap(parked, to_retry);
-    for (size_t v : to_retry) try_schedule_pull(v);
+    // A parked worker stays blocked until the gate frontier (the
+    // slowest active worker's progress) advances; a shrunken round
+    // budget drops the ones past it. Otherwise a retry would re-park
+    // every one of them in the same order, so it is skipped.
+    if (progress.frontier() != frontier || max_rounds != round_budget) {
+      retry_parked();
+    }
     try_schedule_pull(r);
   }
 

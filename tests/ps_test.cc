@@ -110,45 +110,55 @@ TEST(PsContextTest, AverageModels) {
 
 // ----------------------------------------------------- consistency model
 
+// A tracker whose workers finished their rounds at `finish[w][t]`,
+// replayed through the same FinishRound calls the event loop makes.
+ConsistencyTracker Replay(ConsistencyKind kind, int staleness,
+                          const std::vector<std::vector<SimTime>>& finish) {
+  ConsistencyTracker tracker(kind, staleness, finish.size());
+  for (size_t w = 0; w < finish.size(); ++w) {
+    for (SimTime at : finish[w]) tracker.FinishRound(w, at);
+  }
+  return tracker;
+}
+
 TEST(ConsistencyTest, AspNeverWaitsOnOthers) {
   std::vector<std::vector<SimTime>> finish = {{1.0, 2.0}, {10.0, 20.0}};
   EXPECT_DOUBLE_EQ(
-      ConsistencyStartTime(ConsistencyKind::kAsp, 0, 0, 2, finish), 2.0);
+      Replay(ConsistencyKind::kAsp, 0, finish).StartTime(0, 2), 2.0);
 }
 
 TEST(ConsistencyTest, BspWaitsForSlowestPreviousRound) {
   std::vector<std::vector<SimTime>> finish = {{1.0}, {5.0}};
   // Worker 0 starting round 1 must wait for worker 1's round 0.
   EXPECT_DOUBLE_EQ(
-      ConsistencyStartTime(ConsistencyKind::kBsp, 0, 0, 1, finish), 5.0);
+      Replay(ConsistencyKind::kBsp, 0, finish).StartTime(0, 1), 5.0);
 }
 
 TEST(ConsistencyTest, FirstRoundStartsImmediately) {
   std::vector<std::vector<SimTime>> finish = {{}, {}};
   EXPECT_DOUBLE_EQ(
-      ConsistencyStartTime(ConsistencyKind::kBsp, 0, 0, 0, finish), 0.0);
+      Replay(ConsistencyKind::kBsp, 0, finish).StartTime(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(
-      ConsistencyStartTime(ConsistencyKind::kSsp, 2, 1, 0, finish), 0.0);
+      Replay(ConsistencyKind::kSsp, 2, finish).StartTime(1, 0), 0.0);
 }
 
 TEST(ConsistencyTest, SspAllowsBoundedLead) {
   // Worker 0 finished rounds at t=1,2,3; worker 1 only round 0 at t=10.
   std::vector<std::vector<SimTime>> finish = {{1.0, 2.0, 3.0}, {10.0}};
+  const ConsistencyTracker ssp = Replay(ConsistencyKind::kSsp, 2, finish);
   // With staleness 2, worker 0 starting round 3 waits for everyone's
   // round 0 only: max(own 3.0, other 10.0) = 10.
-  EXPECT_DOUBLE_EQ(
-      ConsistencyStartTime(ConsistencyKind::kSsp, 2, 0, 3, finish), 10.0);
+  EXPECT_DOUBLE_EQ(ssp.StartTime(0, 3), 10.0);
   // Starting round 2 needs everyone's round -1: no constraint.
-  EXPECT_DOUBLE_EQ(
-      ConsistencyStartTime(ConsistencyKind::kSsp, 2, 0, 2, finish), 2.0);
+  EXPECT_DOUBLE_EQ(ssp.StartTime(0, 2), 2.0);
 }
 
 TEST(ConsistencyTest, SspZeroStalenessEqualsBsp) {
   std::vector<std::vector<SimTime>> finish = {{1.0, 4.0}, {3.0, 6.0}};
+  const ConsistencyTracker ssp = Replay(ConsistencyKind::kSsp, 0, finish);
+  const ConsistencyTracker bsp = Replay(ConsistencyKind::kBsp, 0, finish);
   for (int round = 0; round < 3; ++round) {
-    EXPECT_DOUBLE_EQ(
-        ConsistencyStartTime(ConsistencyKind::kSsp, 0, 0, round, finish),
-        ConsistencyStartTime(ConsistencyKind::kBsp, 0, 0, round, finish));
+    EXPECT_DOUBLE_EQ(ssp.StartTime(0, round), bsp.StartTime(0, round));
   }
 }
 
