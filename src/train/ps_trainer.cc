@@ -128,6 +128,10 @@ TrainResult PsTrainer::Train(const Dataset& data,
   std::vector<std::vector<SimTime>> finish_times(k);
   std::vector<int> rounds_done(k, 0);
   std::vector<DenseVector> pending_delta(k);  // between pull and push
+  // Delta buffers of landed pushes, reused by later pulls: a BSP round
+  // holds k of them at once, and handing them back to the allocator
+  // every round would page the memory in again each time.
+  std::vector<DenseVector> spare_deltas;
   std::vector<size_t> round_pushes;           // pushes seen per round
   std::vector<size_t> round_contribs;         // deltas actually applied
   std::vector<SimTime> round_end;             // latest push per round
@@ -351,8 +355,18 @@ TrainResult PsTrainer::Train(const Dataset& data,
     double jitter = 1.0;    ///< pre-drawn from the shared stream
     SimTime pull_end = 0.0; ///< worker clock right after its pull
     DenseVector snapshot;   ///< model the wire delivered
-    DenseVector local;      ///< updated in place by the compute task
+    DenseVector local;      ///< the compute task leaves the delta here
     ComputeStats stats;     ///< filled by the compute task
+  };
+  // Trains `task->local` from the snapshot, then turns it into the
+  // delta and releases the snapshot, so a batch of in-flight computes
+  // holds one d-vector each rather than two.
+  auto run_compute = [&local_compute](InflightCompute* task) {
+    EngineProfiler::Scope kernel_prof(Subsystem::kKernels);
+    EngineProfiler::Get().AddEvents(Subsystem::kKernels, 1);
+    task->stats = local_compute(task->worker, task->round, &task->local);
+    task->local.AddScaled(task->snapshot, -1.0);  // local := delta
+    task->snapshot = DenseVector();
   };
   std::vector<std::unique_ptr<InflightCompute>> inflight;
   // Lower bound on every in-flight compute's push time: the earliest
@@ -399,7 +413,6 @@ TrainResult PsTrainer::Train(const Dataset& data,
         sim.ChargeCompute(&node, fl->stats.nnz_processed, fl->jitter,
                           "local-train");
       }
-      fl->local.AddScaled(fl->snapshot, -1.0);  // local := delta
       pending_delta[fl->worker] = std::move(fl->local);
       queue.emplace(node.clock, kPush, fl->worker, fl->inc);
     }
@@ -701,25 +714,23 @@ TrainResult PsTrainer::Train(const Dataset& data,
       fl->pull_end = node.clock;
       inflight_bound = std::min(inflight_bound, node.clock);
       fl->snapshot = CodecTransmit(codec(), nullptr, 0, server.model());
+      if (!spare_deltas.empty()) {
+        fl->local = std::move(spare_deltas.back());
+        spare_deltas.pop_back();
+      }
       fl->local = fl->snapshot;
       InflightCompute* task = fl.get();
       inflight.push_back(std::move(fl));
       if (pool != nullptr) {
-        pool->Submit([task, &local_compute] {
-          // Pool thread: the profiler's frame stack is empty here, so
-          // the scope charges kKernels alone (no kPs double-count).
-          EngineProfiler::Scope kernel_prof(Subsystem::kKernels);
-          EngineProfiler::Get().AddEvents(Subsystem::kKernels, 1);
-          task->stats =
-              local_compute(task->worker, task->round, &task->local);
-        });
+        // Pool thread: the profiler's frame stack is empty there, so
+        // the compute's scope charges kKernels alone (no kPs
+        // double-count).
+        pool->Submit([task, &run_compute] { run_compute(task); });
       } else {
         // Run the compute synchronously but leave the charge to the
         // same drain ordering the pool path uses, so the trace event
         // sequence is byte-identical for every host_threads value.
-        EngineProfiler::Scope kernel_prof(Subsystem::kKernels);
-        EngineProfiler::Get().AddEvents(Subsystem::kKernels, 1);
-        task->stats = local_compute(task->worker, task->round, &task->local);
+        run_compute(task);
       }
       continue;
     }
@@ -776,7 +787,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
       round_stale_max[round] = std::max(round_stale_max[round], lag);
       ++round_stale_n[round];
     }
-    pending_delta[r] = DenseVector();  // release
+    spare_deltas.push_back(std::move(pending_delta[r]));
     ++round_pushes[round];
     round_end[round] = std::max(round_end[round], node.clock);
     const int frontier = progress.frontier();
