@@ -340,6 +340,11 @@ void ConsistencyTracker::FinishRound(size_t w, SimTime at) {
 void ConsistencyTracker::Admit(size_t w, int round) {
   MLLIBSTAR_CHECK_GE(round, rounds_done_[w]);
   AddParticipation(w, -1);
+  // The rounds w pushed in its previous incarnation keep counting:
+  // those pushes landed, so the rounds must not wait for them again.
+  if (join_round_[w] != kNeverJoined && rounds_done_[w] > join_round_[w]) {
+    AddExpected(join_round_[w], rounds_done_[w], +1);
+  }
   if (active_[w]) {
     AddActiveRound(round);
     RemoveActiveRound(rounds_done_[w]);
@@ -430,6 +435,10 @@ void ConsistencyTracker::AddParticipation(size_t w, int sign) {
   const int lo = join_round_[w];
   const int hi = active_[w] ? kNeverJoined : rounds_done_[w];
   if (lo == kNeverJoined || hi <= lo) return;
+  AddExpected(lo, hi, sign);
+}
+
+void ConsistencyTracker::AddExpected(int lo, int hi, int sign) {
   auto bump = [this](int at, int64_t by) {
     if (static_cast<size_t>(at) >= expected_delta_.size()) {
       expected_delta_.resize(at + 1, 0);
@@ -438,8 +447,7 @@ void ConsistencyTracker::AddParticipation(size_t w, int sign) {
   };
   bump(lo, sign);
   if (hi != kNeverJoined) bump(hi, -sign);
-  const size_t end =
-      std::min(static_cast<size_t>(hi), expected_.size());
+  const size_t end = std::min(static_cast<size_t>(hi), expected_.size());
   for (size_t t = lo; t < end; ++t) expected_[t] += sign;
 }
 

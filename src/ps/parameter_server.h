@@ -250,6 +250,7 @@ class ConsistencyTracker {
 
   /// Pushes round t needs before it is complete: every worker that
   /// joined by round t and has not departed with the push still owed.
+  /// A rejoiner's pushes from its previous incarnation stay counted.
   size_t ExpectedPushes(int t) const;
 
  private:
@@ -259,6 +260,9 @@ class ConsistencyTracker {
   /// Adds `sign` to ExpectedPushes over w's participation interval
   /// [join_round, active ? inf : rounds_done).
   void AddParticipation(size_t w, int sign);
+  /// Adds `sign` to ExpectedPushes over rounds [lo, hi) (hi may be
+  /// kNeverJoined for "every later round").
+  void AddExpected(int lo, int hi, int sign);
   /// Materializes expected_ for every round up to leader_.
   void ExtendExpected();
   void SetLeader(int round);

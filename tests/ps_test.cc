@@ -162,6 +162,80 @@ TEST(ConsistencyTest, SspZeroStalenessEqualsBsp) {
   }
 }
 
+TEST(ConsistencyTest, GateWaitsForSlowestActiveWorker) {
+  ConsistencyTracker bsp(ConsistencyKind::kBsp, 0, 3);
+  EXPECT_FALSE(bsp.Blocked(0));
+  bsp.FinishRound(0, 1.0);
+  bsp.FinishRound(1, 2.0);
+  EXPECT_TRUE(bsp.Blocked(1));  // worker 2 still owes round 0
+  EXPECT_EQ(bsp.frontier(), 0);
+  bsp.SetActive(2, false);      // ... until it leaves the fleet
+  EXPECT_FALSE(bsp.Blocked(1));
+  EXPECT_EQ(bsp.frontier(), 1);
+  EXPECT_EQ(bsp.leader(), 1);
+
+  ConsistencyTracker ssp(ConsistencyKind::kSsp, 1, 2);
+  ssp.FinishRound(0, 1.0);
+  EXPECT_FALSE(ssp.Blocked(1));  // one round of lead is allowed
+  ssp.FinishRound(0, 2.0);
+  EXPECT_TRUE(ssp.Blocked(2));
+  EXPECT_FALSE(
+      ConsistencyTracker(ConsistencyKind::kAsp, 0, 2).Blocked(100));
+}
+
+TEST(ConsistencyTest, ExpectedPushesFollowMembership) {
+  ConsistencyTracker tracker(ConsistencyKind::kSsp, 1, 3);
+  EXPECT_EQ(tracker.ExpectedPushes(0), 3u);
+  tracker.FinishRound(0, 1.0);  // worker 0 pushes rounds 0 and 1,
+  tracker.FinishRound(0, 2.0);
+  tracker.SetActive(0, false);  // then leaves
+  EXPECT_EQ(tracker.ExpectedPushes(1), 3u);  // its push still counts
+  EXPECT_EQ(tracker.ExpectedPushes(2), 2u);  // nothing further owed
+  tracker.SetActive(0, true);   // rejoins at the frontier round 2
+  EXPECT_EQ(tracker.MaxActiveRoundExcept(0), 0);
+  tracker.Admit(0, 2);
+  EXPECT_EQ(tracker.ExpectedPushes(1), 3u);
+  EXPECT_EQ(tracker.ExpectedPushes(2), 3u);
+  EXPECT_EQ(tracker.join_round(0), 2);
+}
+
+// A rejoiner whose pre-departure push belongs to a round that is still
+// open: that round must wait for the remaining pushers. Counting the
+// rejoiner out completed it early, and the next push into the already
+// released averaging stage aborted the run.
+TEST(ConsistencyTest, RejoinDuringOpenRoundTrainsToTheEnd) {
+  const Dataset data = GenerateSynthetic(UrlSpec(5e-4));
+  ClusterConfig cluster = ClusterConfig::Cluster2(24);
+  cluster.churn.heartbeat_interval_sec = 0.03;
+  cluster.churn.suspicion_timeout_sec = 0.06;
+  cluster.churn.leaves = {{1, 0.1}, {2, 0.3}};
+  cluster.churn.rejoins = {{1, 0.5}};
+  cluster.churn.server_leaves = {{0, 0.2}};
+  cluster.faults.worker_crashes = {{1, 0.2}};
+  cluster.faults.server_crashes = {{0, 0.3}};
+  cluster.faults.executor_restart_seconds = 0.1;
+  cluster.faults.server_restart_seconds = 0.1;
+  cluster.faults.message_drops = {{0.2, 0.1, 0.4}};
+
+  TrainerConfig config;
+  config.loss = LossKind::kLogistic;
+  config.base_lr = 0.5;
+  config.lr_schedule = LrScheduleKind::kConstant;
+  config.batch_fraction = 0.3;
+  config.max_comm_steps = 10;
+  config.eval_every = 2;
+  config.seed = 227;
+  config.ps.num_shards = 4;
+  config.ps.consistency = ConsistencyKind::kSsp;
+  config.ps.staleness = 1;
+
+  const TrainResult result =
+      MakeTrainer(SystemKind::kPetuumStar, config)->Train(data, cluster);
+  EXPECT_EQ(result.comm_steps, 10);
+  EXPECT_EQ(result.membership.rejoins, 1u);
+  EXPECT_FALSE(result.diverged);
+}
+
 // --------------------------------------------------------- golden pins
 //
 // The PS event loop's output pinned against constants: FNV-1a over the
