@@ -1,12 +1,14 @@
 // mlstar_train: command-line training tool over the full public API.
 //
-//   mlstar_train --dataset=kdd12 --system=mllib* --loss=hinge \
-//                --l2=0.1 --lr=0.1 --steps=30 --workers=8 \
+//   mlstar_train --dataset=kdd12 --system=mllib* --loss=hinge
+//                --l2=0.1 --lr=0.1 --steps=30 --workers=8
 //                --model-out=/tmp/model.txt
 //
 // Trains on a synthetic preset (or a LIBSVM file via --libsvm=path),
 // splits off a test set, reports convergence and held-out metrics, and
-// optionally saves the model.
+// optionally saves the model. An out-of-range setting (e.g. --lr=-1 or
+// --batch-fraction=0) is rejected with TrainerConfig::Validate()'s
+// message and exit code 1.
 #include <cstdio>
 
 #include "common/flags.h"
@@ -124,8 +126,14 @@ int main(int argc, char** argv) {
   const SystemKind system = SystemFromName(flags.GetString("system"));
 
   // --- train ------------------------------------------------------
-  const TrainResult result =
-      MakeTrainer(system, config)->Train(split.train, cluster);
+  Result<TrainResult> trained =
+      MakeTrainer(system, config)->TrainChecked(split.train, cluster);
+  if (!trained.ok()) {
+    std::fprintf(stderr, "invalid configuration: %s\n",
+                 trained.status().ToString().c_str());
+    return 1;
+  }
+  const TrainResult result = std::move(trained).value();
   std::printf("\n%-6s %12s %12s\n", "step", "sim-time(s)", "objective");
   for (const ConvergencePoint& p : result.curve.points()) {
     std::printf("%-6d %12.3f %12.6f\n", p.comm_step, p.time_sec,

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/strings.h"
 #include "train/lbfgs_trainer.h"
 #include "train/mllib_trainer.h"
 #include "train/ps_trainer.h"
@@ -30,6 +31,30 @@ std::string SystemName(SystemKind kind) {
   return "unknown";
 }
 
+Status TrainerConfig::Validate() const {
+  if (eval_every < 1) {
+    return Status::InvalidArgument(
+        "TrainerConfig.eval_every must be >= 1, got " +
+        std::to_string(eval_every));
+  }
+  if (!std::isfinite(base_lr) || base_lr <= 0.0) {
+    return Status::InvalidArgument(
+        "TrainerConfig.base_lr must be finite and > 0, got " +
+        FormatDouble(base_lr));
+  }
+  if (!(batch_fraction > 0.0 && batch_fraction <= 1.0)) {
+    return Status::InvalidArgument(
+        "TrainerConfig.batch_fraction must be in (0, 1], got " +
+        FormatDouble(batch_fraction));
+  }
+  if (max_comm_steps < 0) {
+    return Status::InvalidArgument(
+        "TrainerConfig.max_comm_steps must be >= 0, got " +
+        std::to_string(max_comm_steps));
+  }
+  return Status::Ok();
+}
+
 Trainer::Trainer(TrainerConfig config)
     : config_(std::move(config)),
       codec_(MakeCodec(config_.codec)),
@@ -44,6 +69,13 @@ Trainer::Trainer(TrainerConfig config)
                                            config_.lazy_regularization,
                                            config_.compute_precision)),
       schedule_(config_.lr_schedule, config_.base_lr) {}
+
+Result<TrainResult> Trainer::TrainChecked(const Dataset& data,
+                                          const ClusterConfig& cluster) {
+  const Status valid = config_.Validate();
+  if (!valid.ok()) return valid;
+  return Train(data, cluster);
+}
 
 DenseVector Trainer::InitialWeights(size_t dim) const {
   if (config_.init_weights.dim() == 0) return DenseVector(dim);

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "comm/codec.h"
+#include "common/status.h"
 #include "comm/error_feedback.h"
 #include "core/convergence.h"
 #include "core/local_optimizer.h"
@@ -126,6 +127,11 @@ struct TrainerConfig {
   /// Model Angel's per-batch gradient-buffer allocation + GC overhead
   /// (paper §V-B2); adds work proportional to the model size per batch.
   bool angel_allocation_overhead = true;
+
+  /// InvalidArgument naming the first out-of-range field: eval_every
+  /// < 1, base_lr not finite or <= 0, batch_fraction outside (0, 1],
+  /// or max_comm_steps < 0. Trainer::TrainChecked applies it.
+  Status Validate() const;
 };
 
 /// Outcome of one training run.
@@ -162,6 +168,12 @@ class Trainer {
   /// config seeds.
   virtual TrainResult Train(const Dataset& data,
                             const ClusterConfig& cluster) = 0;
+
+  /// Train() behind config().Validate(): a bad config returns its
+  /// InvalidArgument before any work is done, instead of crashing or
+  /// training on nonsense.
+  Result<TrainResult> TrainChecked(const Dataset& data,
+                                   const ClusterConfig& cluster);
 
  protected:
   const TrainerConfig& config() const { return config_; }

@@ -2,6 +2,10 @@
 // the core behaviors covered in trainer_test.cc.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "data/synthetic.h"
 #include "train/trainer.h"
 
@@ -254,6 +258,89 @@ TEST(TrainerEdgeTest, FaultyClusterSameResultSlower) {
   EXPECT_DOUBLE_EQ(clean.curve.FinalObjective(),
                    failed.curve.FinalObjective());
   EXPECT_GT(failed.sim_seconds, clean.sim_seconds);
+}
+
+// ------------------------------------------------------ config checks
+
+struct BadConfigRow {
+  const char* name;
+  SystemKind system;
+  void (*corrupt)(TrainerConfig*);
+  const char* field;  ///< must appear in the error message
+};
+
+class TrainCheckedTest : public ::testing::TestWithParam<BadConfigRow> {};
+
+TEST_P(TrainCheckedTest, RejectsBeforeTraining) {
+  const BadConfigRow& row = GetParam();
+  TrainerConfig config = BaseConfig();
+  row.corrupt(&config);
+  const Status valid = config.Validate();
+  EXPECT_EQ(valid.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(valid.message().find(row.field), std::string::npos)
+      << valid.ToString();
+
+  const Result<TrainResult> result =
+      MakeTrainer(row.system, config)->TrainChecked(SmallData(),
+                                                     SmallCluster());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().message(), valid.message());
+}
+
+constexpr BadConfigRow kBadConfigRows[] = {
+    {"eval_every_zero_mllib_star", SystemKind::kMllibStar,
+     [](TrainerConfig* c) { c->eval_every = 0; }, "eval_every"},
+    {"eval_every_zero_petuum", SystemKind::kPetuum,
+     [](TrainerConfig* c) { c->eval_every = 0; }, "eval_every"},
+    {"eval_every_negative", SystemKind::kMllib,
+     [](TrainerConfig* c) { c->eval_every = -3; }, "eval_every"},
+    {"base_lr_negative", SystemKind::kMllibStar,
+     [](TrainerConfig* c) { c->base_lr = -1.0; }, "base_lr"},
+    {"base_lr_zero", SystemKind::kAngel,
+     [](TrainerConfig* c) { c->base_lr = 0.0; }, "base_lr"},
+    {"base_lr_nan", SystemKind::kPetuumStar,
+     [](TrainerConfig* c) { c->base_lr = std::nan(""); }, "base_lr"},
+    {"base_lr_infinite", SystemKind::kMllibLbfgs,
+     [](TrainerConfig* c) {
+       c->base_lr = std::numeric_limits<double>::infinity();
+     },
+     "base_lr"},
+    {"batch_fraction_zero", SystemKind::kMllib,
+     [](TrainerConfig* c) { c->batch_fraction = 0.0; }, "batch_fraction"},
+    {"batch_fraction_above_one", SystemKind::kPetuum,
+     [](TrainerConfig* c) { c->batch_fraction = 1.5; }, "batch_fraction"},
+    {"batch_fraction_nan", SystemKind::kMllibMa,
+     [](TrainerConfig* c) { c->batch_fraction = std::nan(""); },
+     "batch_fraction"},
+    {"max_comm_steps_negative", SystemKind::kMllibStar,
+     [](TrainerConfig* c) { c->max_comm_steps = -1; }, "max_comm_steps"},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    BadConfigs, TrainCheckedTest, ::testing::ValuesIn(kBadConfigRows),
+    [](const ::testing::TestParamInfo<BadConfigRow>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(TrainerEdgeTest, CheckedValidConfigTrainsExactlyLikeTrain) {
+  const Dataset data = SmallData();
+  TrainerConfig config = BaseConfig();
+  config.batch_fraction = 1.0;  // the closed end of (0, 1]
+  config.max_comm_steps = 0;    // and zero steps are valid
+  ASSERT_TRUE(config.Validate().ok());
+  config.max_comm_steps = 4;
+  const Result<TrainResult> checked =
+      MakeTrainer(SystemKind::kPetuum, config)->TrainChecked(data,
+                                                              SmallCluster());
+  ASSERT_TRUE(checked.ok());
+  const TrainResult plain =
+      MakeTrainer(SystemKind::kPetuum, config)->Train(data, SmallCluster());
+  EXPECT_EQ(checked.value().sim_seconds, plain.sim_seconds);
+  ASSERT_EQ(checked.value().final_weights.dim(), plain.final_weights.dim());
+  for (size_t i = 0; i < plain.final_weights.dim(); ++i) {
+    EXPECT_EQ(checked.value().final_weights[i], plain.final_weights[i]);
+  }
 }
 
 }  // namespace
