@@ -139,6 +139,21 @@ inline void ExportTelemetryArtifacts(const std::string& system,
   }
 }
 
+/// Parses a comma-separated list of counts ("1,2,4").
+inline std::vector<size_t> ParseSizeList(const std::string& text) {
+  std::vector<size_t> values;
+  size_t pos = 0;
+  while (pos < text.size()) {
+    const size_t comma = text.find(',', pos);
+    const std::string item =
+        text.substr(pos, comma == std::string::npos ? comma : comma - pos);
+    if (!item.empty()) values.push_back(std::stoul(item));
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return values;
+}
+
 /// Prints "label: 12.3x" or "label: n/a (baseline stuck)" speedup rows.
 inline void PrintSpeedup(const char* label, std::optional<double> speedup) {
   if (speedup.has_value()) {

@@ -41,20 +41,6 @@ uint64_t WeightsChecksum(const DenseVector& w) {
   return h;
 }
 
-std::vector<size_t> ParseList(const std::string& text) {
-  std::vector<size_t> values;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    const size_t comma = text.find(',', pos);
-    const std::string item =
-        text.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!item.empty()) values.push_back(std::stoul(item));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return values;
-}
-
 struct RunResult {
   size_t workers = 0;
   size_t host_threads = 0;
@@ -100,9 +86,9 @@ int main(int argc, char** argv) {
   const Dataset data =
       GenerateSynthetic(SpecByName(dataset_name, flags.GetDouble("scale")));
   const std::vector<size_t> thread_counts =
-      ParseList(flags.GetString("threads"));
+      bench::ParseSizeList(flags.GetString("threads"));
   const std::vector<size_t> worker_counts =
-      ParseList(flags.GetString("workers"));
+      bench::ParseSizeList(flags.GetString("workers"));
 
   std::printf("parallel_scaling: %s (%zu x %zu), %lld steps, host has %u "
               "hardware threads\n",

@@ -12,11 +12,16 @@
 //    host_threads values for the same system;
 //  - throughput: simulator events per wall second >= --min-events-per-sec;
 //  - overhead: host microseconds per simulated second <=
-//    --max-host-us-per-sim-sec.
+//    --max-host-us-per-sim-sec;
+//  - PS scaling: Petuum and Angel under BSP on Cluster 2 at each of
+//    --ps-workers (default 128, 512, 2048); host microseconds per PS
+//    event at the largest worker count must stay within 2x of the
+//    smallest. A ratio within one run, so it holds on slow machines.
 //
 // Writes results/BENCH_sim_profile.json with the per-combo trajectory
 // (events/sec, host-us-per-sim-second, subsystem attribution) so the
 // numbers are tracked across commits.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -68,13 +73,68 @@ double WallSeconds(std::chrono::steady_clock::time_point t0,
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
+/// Allowed growth of host-µs per PS event from the smallest to the
+/// largest --ps-workers value (a linear event loop stays near 1x).
+constexpr double kMaxPsGrowth = 2.0;
+constexpr int kPsRepetitions = 3;
+
+struct PsScalingRow {
+  std::string system;
+  size_t workers = 0;
+  uint64_t events = 0;      ///< PS event-loop pops (pulls and pushes)
+  double wall_sec = 0.0;    ///< median over recording-off repetitions
+  double us_per_event = 0.0;
+};
+
+/// Host cost of one PS event: the median wall time of kPsRepetitions
+/// recording-off runs over the event count of one profiled run.
+PsScalingRow MeasurePsScaling(SystemKind kind, size_t workers,
+                              const Dataset& data, int steps) {
+  TrainerConfig config;
+  config.loss = LossKind::kHinge;
+  config.lr_schedule = LrScheduleKind::kConstant;
+  // Petuum sums the k deltas; a 1/k step keeps the sum an average.
+  config.base_lr =
+      kind == SystemKind::kPetuum ? 0.3 / static_cast<double>(workers) : 0.3;
+  config.max_comm_steps = steps;
+  config.ps.num_shards = 4;
+  config.ps.consistency = ConsistencyKind::kBsp;
+  const ClusterConfig cluster = ClusterConfig::Cluster2(workers);
+
+  PsScalingRow row;
+  row.system = SystemName(kind);
+  row.workers = workers;
+  std::vector<double> walls;
+  for (int rep = 0; rep < kPsRepetitions; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)MakeTrainer(kind, config)->Train(data, cluster);
+    walls.push_back(WallSeconds(t0, std::chrono::steady_clock::now()));
+  }
+  std::sort(walls.begin(), walls.end());
+  row.wall_sec = walls[walls.size() / 2];
+
+  EngineProfiler& profiler = EngineProfiler::Get();
+  profiler.Reset();
+  profiler.set_enabled(true);
+  (void)MakeTrainer(kind, config)->Train(data, cluster);
+  profiler.set_enabled(false);
+  for (const SubsystemStats& sub : profiler.Snapshot()) {
+    if (sub.name == SubsystemName(Subsystem::kPs)) row.events = sub.events;
+  }
+  row.us_per_event =
+      row.events > 0 ? row.wall_sec * 1e6 / static_cast<double>(row.events)
+                     : 0.0;
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   FlagParser flags(
       "Simulator self-profile: events/sec and host-us-per-sim-second for "
       "mllib, mllib* and petuum across host_threads, with recording "
-      "on/off bit-identity gates; writes results/BENCH_sim_profile.json.");
+      "on/off bit-identity gates, plus host-us per PS event across "
+      "cluster sizes; writes results/BENCH_sim_profile.json.");
   flags.AddString("dataset", "url", "synthetic dataset spec name");
   flags.AddDouble("scale", 1e-3, "synthetic dataset scale factor");
   flags.AddInt64("steps", 8, "communication steps per run");
@@ -82,6 +142,8 @@ int main(int argc, char** argv) {
                   "throughput gate: simulator events per wall second");
   flags.AddDouble("max-host-us-per-sim-sec", 1e8,
                   "overhead gate: host microseconds per simulated second");
+  flags.AddString("ps-workers", "128,512,2048",
+                  "worker counts of the PS-scaling rows (Cluster 2, BSP)");
   flags.AddString("out", "BENCH_sim_profile.json",
                   "JSON report filename (written under results/)");
   const Status status = flags.Parse(argc, argv);
@@ -182,6 +244,38 @@ int main(int argc, char** argv) {
     }
   }
 
+  // PS scaling: Petuum and Angel at each --ps-workers count.
+  std::vector<size_t> ps_workers =
+      bench::ParseSizeList(flags.GetString("ps-workers"));
+  std::sort(ps_workers.begin(), ps_workers.end());
+  std::vector<PsScalingRow> ps_rows;
+  JsonValue ps_growth = JsonValue::Object();
+  bool ps_scaling_ok = true;
+  std::printf("\nPS scaling (%s, Cluster 2, BSP, %d steps)\n",
+              dataset_name.c_str(), steps);
+  std::printf("%8s %8s %10s %10s %12s\n", "system", "workers", "events",
+              "wall_sec", "us/event");
+  for (SystemKind kind : {SystemKind::kPetuum, SystemKind::kAngel}) {
+    const size_t first = ps_rows.size();
+    for (size_t workers : ps_workers) {
+      ps_rows.push_back(MeasurePsScaling(kind, workers, data, steps));
+      const PsScalingRow& row = ps_rows.back();
+      std::printf("%8s %8zu %10llu %10.4f %12.2f\n", row.system.c_str(),
+                  row.workers, static_cast<unsigned long long>(row.events),
+                  row.wall_sec, row.us_per_event);
+    }
+    if (ps_rows.size() - first < 2) continue;
+    const double smallest = ps_rows[first].us_per_event;
+    const double growth =
+        smallest > 0.0 ? ps_rows.back().us_per_event / smallest : 0.0;
+    const bool ok = growth > 0.0 && growth <= kMaxPsGrowth;
+    ps_scaling_ok = ps_scaling_ok && ok;
+    ps_growth.Set(SystemName(kind), JsonValue::Number(growth));
+    std::printf("%8s us/event growth %zu -> %zu workers: %.2fx (%s)\n",
+                SystemName(kind).c_str(), ps_rows[first].workers,
+                ps_rows.back().workers, growth, ok ? "pass" : "FAIL");
+  }
+
   std::printf("recording invisible (on == off): %s\n",
               identity_ok ? "yes" : "NO — recording perturbed the numerics");
   std::printf("host-thread determinism: %s\n",
@@ -190,6 +284,8 @@ int main(int argc, char** argv) {
               throughput_ok ? "pass" : "FAIL");
   std::printf("overhead gate (<= %.0f host_us/sim_sec): %s\n", max_host_us,
               overhead_ok ? "pass" : "FAIL");
+  std::printf("PS scaling gate (us/event growth <= %.1fx): %s\n",
+              kMaxPsGrowth, ps_scaling_ok ? "pass" : "FAIL");
 
   JsonValue doc = JsonValue::Object();
   doc.Set("bench", JsonValue::Str("sim_profile"));
@@ -230,8 +326,31 @@ int main(int argc, char** argv) {
     runs.Append(std::move(entry));
   }
   doc.Set("runs", std::move(runs));
+  JsonValue ps_scaling = JsonValue::Object();
+  ps_scaling.Set("cluster", JsonValue::Str("Cluster2"));
+  ps_scaling.Set("consistency", JsonValue::Str("bsp"));
+  ps_scaling.Set("repetitions",
+                 JsonValue::Number(static_cast<int64_t>(kPsRepetitions)));
+  ps_scaling.Set("max_growth", JsonValue::Number(kMaxPsGrowth));
+  ps_scaling.Set("growth", std::move(ps_growth));
+  ps_scaling.Set("ok", JsonValue::Bool(ps_scaling_ok));
+  JsonValue ps_entries = JsonValue::Array();
+  for (const PsScalingRow& row : ps_rows) {
+    JsonValue entry = JsonValue::Object();
+    entry.Set("system", JsonValue::Str(row.system));
+    entry.Set("workers", JsonValue::Number(static_cast<uint64_t>(row.workers)));
+    entry.Set("events", JsonValue::Number(row.events));
+    entry.Set("wall_sec", JsonValue::Number(row.wall_sec));
+    entry.Set("us_per_event", JsonValue::Number(row.us_per_event));
+    ps_entries.Append(std::move(entry));
+  }
+  ps_scaling.Set("rows", std::move(ps_entries));
+  doc.Set("ps_scaling", std::move(ps_scaling));
   const std::string written =
       bench::WriteBenchJson(flags.GetString("out"), doc);
   if (written.empty()) return 1;
-  return identity_ok && thread_ok && throughput_ok && overhead_ok ? 0 : 2;
+  return identity_ok && thread_ok && throughput_ok && overhead_ok &&
+                 ps_scaling_ok
+             ? 0
+             : 2;
 }
