@@ -404,15 +404,9 @@ SimTime ConsistencyTracker::StartTime(size_t w, int round) const {
 
 size_t ConsistencyTracker::ExpectedPushes(int t) const {
   if (t < 0) return 0;
-  if (static_cast<size_t>(t) < expected_.size()) {
-    return static_cast<size_t>(expected_[t]);
-  }
-  int64_t n = expected_.empty() ? 0 : expected_.back();
-  for (size_t x = expected_.size();
-       x <= static_cast<size_t>(t) && x < expected_delta_.size(); ++x) {
-    n += expected_delta_[x];
-  }
-  return static_cast<size_t>(n);
+  // Every interval endpoint is a join round or a rounds_done, so no
+  // more than leader_: later rounds count what round leader_ counts.
+  return static_cast<size_t>(expected_[std::min(t, leader_)]);
 }
 
 void ConsistencyTracker::AddActiveRound(int round) {

@@ -280,7 +280,7 @@ class ConsistencyTracker {
   int min_round_ = 0;
   int leader_ = 0;
   /// ExpectedPushes(t) = sum of expected_delta_[0..t]; expected_ holds
-  /// that prefix sum for t <= leader_.
+  /// that prefix sum for every t <= leader_.
   std::vector<int64_t> expected_delta_;
   std::vector<int64_t> expected_;
 };
