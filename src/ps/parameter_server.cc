@@ -316,6 +316,8 @@ void ConsistencyTracker::Reset(const std::vector<bool>& active,
 
 void ConsistencyTracker::FinishRound(size_t w, SimTime at) {
   const int t = rounds_done_[w];
+  // Round-indexed, not appended: a joiner admitted at the frontier
+  // skips earlier rounds, whose slots stay 0 and never gate anyone.
   std::vector<SimTime>& times = finish_times_[w];
   if (static_cast<size_t>(t) >= times.size()) times.resize(t + 1, 0.0);
   times[t] = at;
