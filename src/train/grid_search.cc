@@ -21,6 +21,9 @@ GridSearchOutcome GridSearch(SystemKind kind, const TrainerConfig& base,
     for (double fraction : spec.batch_fractions) {
       for (int staleness : stalenesses) {
         TrainerConfig candidate = base;
+        // Trials neither resume from nor overwrite the caller's
+        // snapshot: that file belongs to the final run.
+        candidate.checkpoint = CheckpointConfig();
         candidate.base_lr = lr;
         candidate.batch_fraction = fraction;
         candidate.max_comm_steps = spec.trial_comm_steps;
@@ -37,6 +40,7 @@ GridSearchOutcome GridSearch(SystemKind kind, const TrainerConfig& base,
           outcome.best_objective = best;
           outcome.best_config = candidate;
           outcome.best_config.max_comm_steps = base.max_comm_steps;
+          outcome.best_config.checkpoint = base.checkpoint;
         }
       }
     }

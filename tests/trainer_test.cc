@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 
 #include "data/synthetic.h"
@@ -275,6 +276,34 @@ TEST(GridSearchTest, FindsBetterThanWorstCandidate) {
   EXPECT_DOUBLE_EQ(outcome.best_config.base_lr, 0.5);
   // The returned config restores the caller's step budget.
   EXPECT_EQ(outcome.best_config.max_comm_steps, base.max_comm_steps);
+}
+
+TEST(GridSearchTest, TrialsIgnoreTheCallersCheckpoint) {
+  const Dataset data = SmallData();
+  GridSearchSpec spec;
+  spec.learning_rates = {0.05, 0.5};
+  spec.batch_fractions = {0.1, 1.0};
+  spec.trial_comm_steps = 4;
+  const TrainerConfig plain = BaseConfig();
+  TrainerConfig checkpointed = plain;
+  checkpointed.checkpoint.path = testing::TempDir() + "/grid_checkpoint.bin";
+  checkpointed.checkpoint.every_steps = 1;
+  checkpointed.checkpoint.resume = true;
+  std::remove(checkpointed.checkpoint.path.c_str());
+
+  const GridSearchOutcome a =
+      GridSearch(SystemKind::kMllib, plain, spec, data, SmallCluster());
+  const GridSearchOutcome b =
+      GridSearch(SystemKind::kMllib, checkpointed, spec, data, SmallCluster());
+  EXPECT_EQ(b.candidates_evaluated, a.candidates_evaluated);
+  EXPECT_EQ(b.best_objective, a.best_objective);
+  EXPECT_EQ(b.best_config.base_lr, a.best_config.base_lr);
+  EXPECT_EQ(b.best_config.batch_fraction, a.best_config.batch_fraction);
+  // No trial wrote the caller's file; the final run still gets it.
+  EXPECT_FALSE(std::ifstream(checkpointed.checkpoint.path).good());
+  EXPECT_EQ(b.best_config.checkpoint.path, checkpointed.checkpoint.path);
+  EXPECT_EQ(b.best_config.checkpoint.every_steps, 1);
+  EXPECT_TRUE(b.best_config.checkpoint.resume);
 }
 
 TEST(GridSearchTest, SearchesStalenessForPsSystems) {
