@@ -6,35 +6,32 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "common/strings.h"
+#include "core/simd/dispatch.h"
 #include "sim/network.h"
 
 namespace mllibstar {
 namespace {
 
-// Serialization helpers: payloads use host byte order (the simulated
-// cluster is homogeneous; a real deployment would pin endianness).
+// Payloads use host byte order (the simulated cluster is homogeneous;
+// a real deployment would pin endianness). Every codec sizes its
+// payload once and writes or reads it at computed offsets.
 template <typename T>
-void Append(std::vector<uint8_t>* payload, T value) {
-  const size_t at = payload->size();
-  payload->resize(at + sizeof(T));
-  std::memcpy(payload->data() + at, &value, sizeof(T));
+void Store(uint8_t* at, T value) {
+  std::memcpy(at, &value, sizeof(T));
 }
 
 template <typename T>
-T ReadAt(const std::vector<uint8_t>& payload, size_t* at) {
+T Load(const uint8_t* at) {
   T value;
-  MLLIBSTAR_CHECK_LE(*at + sizeof(T), payload.size());
-  std::memcpy(&value, payload.data() + *at, sizeof(T));
-  *at += sizeof(T);
+  std::memcpy(&value, at, sizeof(T));
   return value;
 }
 
-EncodedChunk Finish(size_t dim, std::vector<uint8_t> payload) {
-  EncodedChunk chunk;
-  chunk.dim = dim;
-  chunk.bytes = payload.size();
-  chunk.payload = std::move(payload);
-  return chunk;
+void StartPayload(size_t dim, uint64_t bytes, EncodedChunk* out) {
+  out->dim = dim;
+  out->bytes = bytes;
+  out->payload.resize(bytes);
 }
 
 class DenseF64Codec : public GradientCodec {
@@ -43,17 +40,16 @@ class DenseF64Codec : public GradientCodec {
   std::string name() const override { return "dense-f64"; }
   bool lossless() const override { return true; }
 
-  EncodedChunk Encode(const DenseVector& v) const override {
-    std::vector<uint8_t> payload(8 * v.dim());
-    std::memcpy(payload.data(), v.data(), payload.size());
-    return Finish(v.dim(), std::move(payload));
+  void EncodeInto(const DenseVector& v, EncodedChunk* out) const override {
+    StartPayload(v.dim(), EncodedBytes(v.dim()), out);
+    std::memcpy(out->payload.data(), v.data(), out->payload.size());
   }
 
-  DenseVector Decode(const EncodedChunk& chunk) const override {
+  void DecodeInto(const EncodedChunk& chunk,
+                  DenseVector* out) const override {
     MLLIBSTAR_CHECK_EQ(chunk.payload.size(), 8 * chunk.dim);
-    DenseVector v(chunk.dim);
-    std::memcpy(v.data(), chunk.payload.data(), chunk.payload.size());
-    return v;
+    MLLIBSTAR_CHECK_EQ(out->dim(), chunk.dim);
+    std::memcpy(out->data(), chunk.payload.data(), chunk.payload.size());
   }
 
   uint64_t EncodedBytes(size_t dim) const override {
@@ -70,23 +66,24 @@ class DenseF32Codec : public GradientCodec {
   std::string name() const override { return "dense-f32"; }
   bool lossless() const override { return false; }
 
-  EncodedChunk Encode(const DenseVector& v) const override {
-    std::vector<uint8_t> payload;
-    payload.reserve(4 * v.dim());
+  void EncodeInto(const DenseVector& v, EncodedChunk* out) const override {
+    StartPayload(v.dim(), EncodedBytes(v.dim()), out);
+    uint8_t* at = out->payload.data();
+    const double* x = v.data();
     for (size_t i = 0; i < v.dim(); ++i) {
-      Append(&payload, static_cast<float>(v[i]));
+      Store(at + 4 * i, static_cast<float>(x[i]));
     }
-    return Finish(v.dim(), std::move(payload));
   }
 
-  DenseVector Decode(const EncodedChunk& chunk) const override {
+  void DecodeInto(const EncodedChunk& chunk,
+                  DenseVector* out) const override {
     MLLIBSTAR_CHECK_EQ(chunk.payload.size(), 4 * chunk.dim);
-    DenseVector v(chunk.dim);
-    size_t at = 0;
+    MLLIBSTAR_CHECK_EQ(out->dim(), chunk.dim);
+    const uint8_t* at = chunk.payload.data();
+    double* x = out->data();
     for (size_t i = 0; i < chunk.dim; ++i) {
-      v[i] = static_cast<double>(ReadAt<float>(chunk.payload, &at));
+      x[i] = static_cast<double>(Load<float>(at + 4 * i));
     }
-    return v;
   }
 
   uint64_t EncodedBytes(size_t dim) const override { return 4ull * dim; }
@@ -99,7 +96,9 @@ class DenseF32Codec : public GradientCodec {
 /// of `chunk_size` coordinates stores its range as two float32s plus
 /// one fixed-width integer level per coordinate. Decoding maps level q
 /// back to lo + q * (hi - lo) / levels, so the worst-case error per
-/// coordinate is half a step of its chunk's range.
+/// coordinate is half a step of its chunk's range. The per-chunk work
+/// runs through the dispatched simd kernels, whose payload bytes and
+/// decoded values are identical at every dispatch level.
 template <typename LevelT>
 class LinearQuantCodec : public GradientCodec {
  public:
@@ -111,50 +110,45 @@ class LinearQuantCodec : public GradientCodec {
   std::string name() const override { return name_; }
   bool lossless() const override { return false; }
 
-  EncodedChunk Encode(const DenseVector& v) const override {
-    std::vector<uint8_t> payload;
-    payload.reserve(EncodedBytes(v.dim()));
+  void EncodeInto(const DenseVector& v, EncodedChunk* out) const override {
+    StartPayload(v.dim(), EncodedBytes(v.dim()), out);
+    const simd::KernelDispatch& k = simd::Kernels();
+    auto quantize = sizeof(LevelT) == 1 ? k.quantize_u8 : k.quantize_u16;
+    uint8_t* at = out->payload.data();
     for (size_t begin = 0; begin < v.dim(); begin += chunk_size_) {
-      const size_t end = std::min(v.dim(), begin + chunk_size_);
-      double lo = v[begin];
-      double hi = v[begin];
-      for (size_t i = begin; i < end; ++i) {
-        lo = std::min(lo, v[i]);
-        hi = std::max(hi, v[i]);
-      }
+      const size_t n = std::min(v.dim() - begin, chunk_size_);
+      const double* x = v.data() + begin;
+      double lo = 0.0;
+      double hi = 0.0;
+      k.chunk_minmax(x, n, &lo, &hi);
       // The decoder sees the float32-rounded endpoints, so quantize
       // against those same values (consistency beats precision here).
       const float lo_f = static_cast<float>(lo);
       const float hi_f = static_cast<float>(hi);
-      Append(&payload, lo_f);
-      Append(&payload, hi_f);
+      Store(at, lo_f);
+      Store(at + 4, hi_f);
       const double span = static_cast<double>(hi_f) - static_cast<double>(lo_f);
       const double scale = span > 0.0 ? kLevels / span : 0.0;
-      for (size_t i = begin; i < end; ++i) {
-        const double q =
-            std::round((v[i] - static_cast<double>(lo_f)) * scale);
-        Append(&payload, static_cast<LevelT>(std::clamp(q, 0.0, kLevels)));
-      }
+      quantize(x, n, static_cast<double>(lo_f), scale, at + 8);
+      at += 8 + sizeof(LevelT) * n;
     }
-    return Finish(v.dim(), std::move(payload));
   }
 
-  DenseVector Decode(const EncodedChunk& chunk) const override {
+  void DecodeInto(const EncodedChunk& chunk,
+                  DenseVector* out) const override {
     MLLIBSTAR_CHECK_EQ(chunk.payload.size(), EncodedBytes(chunk.dim));
-    DenseVector v(chunk.dim);
-    size_t at = 0;
+    MLLIBSTAR_CHECK_EQ(out->dim(), chunk.dim);
+    const simd::KernelDispatch& k = simd::Kernels();
+    auto dequantize = sizeof(LevelT) == 1 ? k.dequantize_u8 : k.dequantize_u16;
+    const uint8_t* at = chunk.payload.data();
     for (size_t begin = 0; begin < chunk.dim; begin += chunk_size_) {
-      const size_t end = std::min(chunk.dim, begin + chunk_size_);
-      const double lo = static_cast<double>(ReadAt<float>(chunk.payload, &at));
-      const double hi = static_cast<double>(ReadAt<float>(chunk.payload, &at));
+      const size_t n = std::min(chunk.dim - begin, chunk_size_);
+      const double lo = static_cast<double>(Load<float>(at));
+      const double hi = static_cast<double>(Load<float>(at + 4));
       const double step = (hi - lo) / kLevels;
-      for (size_t i = begin; i < end; ++i) {
-        const double q =
-            static_cast<double>(ReadAt<LevelT>(chunk.payload, &at));
-        v[i] = lo + q * step;
-      }
+      dequantize(at + 8, n, lo, step, out->data() + begin);
+      at += 8 + sizeof(LevelT) * n;
     }
-    return v;
   }
 
   uint64_t EncodedBytes(size_t dim) const override {
@@ -193,7 +187,7 @@ class TopKCodec : public GradientCodec {
         static_cast<size_t>(ratio_ * static_cast<double>(dim)), 1, dim);
   }
 
-  EncodedChunk Encode(const DenseVector& v) const override {
+  void EncodeInto(const DenseVector& v, EncodedChunk* out) const override {
     const size_t keep = Keep(v.dim());
     std::vector<FeatureIndex> order(v.dim());
     for (size_t i = 0; i < v.dim(); ++i) {
@@ -209,26 +203,28 @@ class TopKCodec : public GradientCodec {
                      });
     std::sort(order.begin(), order.begin() + keep);
 
-    std::vector<uint8_t> payload;
-    payload.reserve(EncodedBytes(v.dim()));
-    Append(&payload, static_cast<uint32_t>(keep));
+    StartPayload(v.dim(), EncodedBytes(v.dim()), out);
+    uint8_t* at = out->payload.data();
+    Store(at, static_cast<uint32_t>(keep));
     for (size_t j = 0; j < keep; ++j) {
-      Append(&payload, static_cast<uint32_t>(order[j]));
-      Append(&payload, v[order[j]]);
+      Store(at + 4 + 12 * j, static_cast<uint32_t>(order[j]));
+      Store(at + 8 + 12 * j, v[order[j]]);
     }
-    return Finish(v.dim(), std::move(payload));
   }
 
-  DenseVector Decode(const EncodedChunk& chunk) const override {
-    DenseVector v(chunk.dim);
-    size_t at = 0;
-    const uint32_t keep = ReadAt<uint32_t>(chunk.payload, &at);
+  void DecodeInto(const EncodedChunk& chunk,
+                  DenseVector* out) const override {
+    MLLIBSTAR_CHECK_GE(chunk.payload.size(), 4u);
+    MLLIBSTAR_CHECK_EQ(out->dim(), chunk.dim);
+    const uint8_t* at = chunk.payload.data();
+    const uint32_t keep = Load<uint32_t>(at);
+    MLLIBSTAR_CHECK_EQ(chunk.payload.size(), 4ull + 12ull * keep);
+    out->SetZero();
     for (uint32_t j = 0; j < keep; ++j) {
-      const uint32_t index = ReadAt<uint32_t>(chunk.payload, &at);
+      const uint32_t index = Load<uint32_t>(at + 4 + 12 * j);
       MLLIBSTAR_CHECK_LT(index, chunk.dim);
-      v[index] = ReadAt<double>(chunk.payload, &at);
+      (*out)[index] = Load<double>(at + 8 + 12 * j);
     }
-    return v;
   }
 
   uint64_t EncodedBytes(size_t dim) const override {
@@ -263,6 +259,31 @@ std::string CodecName(CodecKind kind) {
       return "topk";
   }
   return "unknown";
+}
+
+Status CodecConfig::Validate() const {
+  if (quant_chunk == 0) {
+    return Status::InvalidArgument(
+        "CodecConfig.quant_chunk must be >= 1, got 0");
+  }
+  if (!(topk_ratio > 0.0 && topk_ratio <= 1.0)) {
+    return Status::InvalidArgument(
+        "CodecConfig.topk_ratio must be in (0, 1], got " +
+        FormatDouble(topk_ratio));
+  }
+  return Status::Ok();
+}
+
+EncodedChunk GradientCodec::Encode(const DenseVector& v) const {
+  EncodedChunk chunk;
+  EncodeInto(v, &chunk);
+  return chunk;
+}
+
+DenseVector GradientCodec::Decode(const EncodedChunk& chunk) const {
+  DenseVector v(chunk.dim);
+  DecodeInto(chunk, &v);
+  return v;
 }
 
 uint64_t GradientCodec::SparseEncodedBytes(size_t nnz, size_t dim) const {

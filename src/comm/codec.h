@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "core/vector.h"
 
 namespace mllibstar {
@@ -31,13 +32,19 @@ struct CodecConfig {
   CodecKind kind = CodecKind::kDenseF64;
   /// Values per min/max scaling group for the linear quantizers; a
   /// smaller chunk tracks local dynamic range better but pays more
-  /// header bytes (8 per chunk).
+  /// header bytes (8 per chunk). Must be >= 1.
   size_t quant_chunk = 1024;
-  /// Fraction of coordinates kTopK keeps (at least 1).
+  /// Fraction of coordinates kTopK keeps (at least 1), in (0, 1].
   double topk_ratio = 0.01;
   /// Accumulate the compression error per sender and add it back into
   /// the next round's vector (EF-SGD); no-op for lossless codecs.
   bool error_feedback = true;
+
+  /// InvalidArgument naming the field ("CodecConfig.quant_chunk ...")
+  /// when quant_chunk is 0 or topk_ratio is outside (0, 1] or NaN.
+  /// Checked for every codec kind, so a config stays valid when only
+  /// `kind` is switched.
+  Status Validate() const;
 };
 
 /// One encoded vector: `payload` is the actual serialized wire format
@@ -62,8 +69,15 @@ class GradientCodec {
   /// True when Decode(Encode(v)) == v bit-exactly for every v.
   virtual bool lossless() const = 0;
 
-  virtual EncodedChunk Encode(const DenseVector& v) const = 0;
-  virtual DenseVector Decode(const EncodedChunk& chunk) const = 0;
+  /// Encodes `v` into `*out`, sizing its payload once and reusing the
+  /// buffer it already holds.
+  virtual void EncodeInto(const DenseVector& v, EncodedChunk* out) const = 0;
+  /// Decodes `chunk` into `*out`, whose dim() must equal chunk.dim.
+  virtual void DecodeInto(const EncodedChunk& chunk,
+                          DenseVector* out) const = 0;
+
+  EncodedChunk Encode(const DenseVector& v) const;
+  DenseVector Decode(const EncodedChunk& chunk) const;
 
   /// Wire size of a dense vector of `dim` coordinates. Must equal
   /// Encode(v).bytes for any v with v.dim() == dim.

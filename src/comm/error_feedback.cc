@@ -36,19 +36,25 @@ const DenseVector& ErrorFeedback::residual(size_t stream) const {
   return residuals_[stream];
 }
 
-void ErrorFeedback::Compensate(size_t stream, DenseVector* v) const {
-  if (!enabled()) return;
-  MLLIBSTAR_CHECK_LT(stream, residuals_.size());
-  v->AddScaled(residuals_[stream], 1.0);
-}
-
-void ErrorFeedback::Absorb(size_t stream, const DenseVector& compensated,
-                           const DenseVector& decoded) {
-  if (!enabled()) return;
+const DenseVector& ErrorFeedback::Compensate(size_t stream,
+                                             const DenseVector& v) {
   MLLIBSTAR_CHECK_LT(stream, residuals_.size());
   DenseVector& r = residuals_[stream];
-  r = compensated;
-  r.AddScaled(decoded, -1.0);
+  MLLIBSTAR_CHECK_EQ(r.dim(), v.dim());
+  double* rd = r.data();
+  const double* vd = v.data();
+  for (size_t i = 0; i < r.dim(); ++i) rd[i] = vd[i] + rd[i];
+  return r;
+}
+
+void ErrorFeedback::Absorb(size_t stream, const DenseVector& decoded) {
+  MLLIBSTAR_CHECK_LT(stream, residuals_.size());
+  DenseVector& r = residuals_[stream];
+  MLLIBSTAR_CHECK_EQ(r.dim(), decoded.dim());
+  double* rd = r.data();
+  const double* dd = decoded.data();
+  // compensated + (-1)·decoded, as one exact subtraction.
+  for (size_t i = 0; i < r.dim(); ++i) rd[i] -= dd[i];
 }
 
 void ErrorFeedback::RestoreResidual(size_t stream,
@@ -66,28 +72,30 @@ ErrorFeedback MakeErrorFeedback(const GradientCodec& codec,
   return ErrorFeedback(num_streams, dim);
 }
 
-DenseVector CodecTransmit(const GradientCodec& codec, ErrorFeedback* ef,
-                          size_t stream, const DenseVector& v,
-                          uint64_t* wire_bytes) {
+const DenseVector& CodecTransmit(const GradientCodec& codec,
+                                 ErrorFeedback* ef, size_t stream,
+                                 const DenseVector& v, DenseVector* wire,
+                                 uint64_t* wire_bytes) {
   EngineProfiler::Scope codec_prof(Subsystem::kCodec);
   EngineProfiler::Get().AddEvents(Subsystem::kCodec, 1);
-  // Lossless fast path: the wire is transparent, so skip the
-  // encode/decode copy (the roundtrip is bit-exact by contract, which
-  // comm_test pins down).
+  // Lossless: the wire is transparent (the roundtrip is bit-exact by
+  // contract, which comm_test pins down), so the receivers see `v`.
   if (codec.lossless()) {
     const uint64_t encoded = codec.EncodedBytes(v.dim());
     if (wire_bytes != nullptr) *wire_bytes += encoded;
     RecordTransmit(codec, ef, stream, v.dim(), encoded);
     return v;
   }
-  DenseVector compensated = v;
-  if (ef != nullptr) ef->Compensate(stream, &compensated);
-  const EncodedChunk chunk = codec.Encode(compensated);
+  // The encode buffer is reused across calls on the same thread.
+  thread_local EncodedChunk chunk;
+  const bool feedback = ef != nullptr && ef->enabled();
+  codec.EncodeInto(feedback ? ef->Compensate(stream, v) : v, &chunk);
   if (wire_bytes != nullptr) *wire_bytes += chunk.bytes;
   RecordTransmit(codec, ef, stream, v.dim(), chunk.bytes);
-  DenseVector decoded = codec.Decode(chunk);
-  if (ef != nullptr) ef->Absorb(stream, compensated, decoded);
-  return decoded;
+  if (wire->dim() != v.dim()) *wire = DenseVector(v.dim());
+  codec.DecodeInto(chunk, wire);
+  if (feedback) ef->Absorb(stream, *wire);
+  return *wire;
 }
 
 }  // namespace mllibstar

@@ -17,7 +17,7 @@ namespace mllibstar {
 /// owner to everyone) carry no residual state.
 class ErrorFeedback {
  public:
-  /// A disabled accumulator: Compensate/Absorb are no-ops.
+  /// A disabled accumulator (no residual state).
   ErrorFeedback() = default;
 
   /// One residual of dimension `dim` per stream, all starting at zero.
@@ -27,13 +27,15 @@ class ErrorFeedback {
   size_t num_streams() const { return residuals_.size(); }
   const DenseVector& residual(size_t stream) const;
 
-  /// *v += residual[stream] (no-op when disabled).
-  void Compensate(size_t stream, DenseVector* v) const;
+  /// residual[stream] = v + residual[stream], in place: the vector
+  /// this round encodes. Returns it (valid until Absorb). Requires
+  /// enabled().
+  const DenseVector& Compensate(size_t stream, const DenseVector& v);
 
-  /// residual[stream] = compensated - decoded: the error the wire
-  /// just introduced, to be re-sent next round.
-  void Absorb(size_t stream, const DenseVector& compensated,
-              const DenseVector& decoded);
+  /// residual[stream] -= decoded. Right after Compensate this leaves
+  /// compensated - decoded: the error the wire just introduced, to be
+  /// re-sent next round. Requires enabled().
+  void Absorb(size_t stream, const DenseVector& decoded);
 
   /// Overwrites one stream's residual (checkpoint restore). No-op on a
   /// disabled accumulator.
@@ -51,15 +53,23 @@ ErrorFeedback MakeErrorFeedback(const GradientCodec& codec,
                                 const CodecConfig& config,
                                 size_t num_streams, size_t dim);
 
-/// Ships `v` through `codec` as stream `stream`: compensates with the
-/// stream's residual, encodes, decodes, absorbs the new residual, and
-/// returns the vector the receivers actually see. Adds the encoded
-/// wire size to *wire_bytes when non-null. Pass ef == nullptr for
-/// residual-free paths (broadcasts). With a lossless codec the result
-/// is bit-identical to `v`.
-DenseVector CodecTransmit(const GradientCodec& codec, ErrorFeedback* ef,
-                          size_t stream, const DenseVector& v,
-                          uint64_t* wire_bytes = nullptr);
+/// Ships `v` through `codec` as stream `stream` and returns the vector
+/// the receivers actually see. Adds the encoded wire size to
+/// *wire_bytes when non-null. Pass ef == nullptr for residual-free
+/// paths (broadcasts).
+///
+/// Lossless codec: returns `v` itself — no encode, decode or copy.
+/// Lossy codec: compensates with the stream's residual, encodes,
+/// decodes into `*wire` (resized to v.dim() if needed), absorbs the
+/// new residual, and returns `*wire`. `wire` may be `&v`: `v` is read
+/// in full before the decode writes.
+///
+/// The result aliases `v` or `*wire`, so neither may be mutated while
+/// it is in use.
+const DenseVector& CodecTransmit(const GradientCodec& codec,
+                                 ErrorFeedback* ef, size_t stream,
+                                 const DenseVector& v, DenseVector* wire,
+                                 uint64_t* wire_bytes = nullptr);
 
 }  // namespace mllibstar
 

@@ -13,29 +13,33 @@ namespace {
 constexpr KernelDispatch kScalarTable = {
     SimdLevel::kScalar, &SparseDotF64Scalar, &SparseDotF32Scalar,
     &SparseAxpyF64Scalar, &SparseAxpyF32Scalar, &DenseDotScalar,
-    &DenseAxpyScalar,
+    &DenseAxpyScalar, &ChunkMinMaxScalar, &QuantizeU8Scalar,
+    &QuantizeU16Scalar, &DequantizeU8Scalar, &DequantizeU16Scalar,
 };
 
 #if defined(__x86_64__) || defined(_M_X64)
 constexpr KernelDispatch kSse2Table = {
     SimdLevel::kSse2, &SparseDotF64Sse2, &SparseDotF32Sse2,
     &SparseAxpyF64Sse2, &SparseAxpyF32Sse2, &DenseDotSse2,
-    &DenseAxpySse2,
+    &DenseAxpySse2, &ChunkMinMaxSse2, &QuantizeU8Scalar,
+    &QuantizeU16Scalar, &DequantizeU8Scalar, &DequantizeU16Scalar,
 };
 
 constexpr KernelDispatch kAvx2Table = {
     SimdLevel::kAvx2, &SparseDotF64Avx2, &SparseDotF32Avx2,
     &SparseAxpyF64Avx2, &SparseAxpyF32Avx2, &DenseDotAvx2,
-    &DenseAxpyAvx2,
+    &DenseAxpyAvx2, &ChunkMinMaxAvx2, &QuantizeU8Avx2,
+    &QuantizeU16Avx2, &DequantizeU8Avx2, &DequantizeU16Avx2,
 };
 
 // AVX-512 upgrades only the tolerance-checked f32 sparse kernels;
-// everything under the f64 bit-exactness contract stays at the AVX2
-// forms (see kernels_avx512.cc).
+// everything under the bit-exactness contract (f64 and quantizer
+// kernels) stays at the AVX2 forms (see kernels_avx512.cc).
 constexpr KernelDispatch kAvx512Table = {
     SimdLevel::kAvx512, &SparseDotF64Avx2, &SparseDotF32Avx512,
     &SparseAxpyF64Avx2, &SparseAxpyF32Avx512, &DenseDotAvx2,
-    &DenseAxpyAvx2,
+    &DenseAxpyAvx2, &ChunkMinMaxAvx2, &QuantizeU8Avx2,
+    &QuantizeU16Avx2, &DequantizeU8Avx2, &DequantizeU16Avx2,
 };
 #endif
 

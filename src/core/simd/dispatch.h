@@ -2,6 +2,7 @@
 #define MLLIBSTAR_CORE_SIMD_DISPATCH_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -60,6 +61,33 @@ struct KernelDispatch {
 
   /// w[i] += alpha · x[i]
   void (*dense_axpy)(double* w, const double* x, size_t n, double alpha);
+
+  // ---- Linear-quantization codec kernels (comm/codec) ----------------
+  //
+  // Bit-exact at every level, like the f64 kernels: the wire payload
+  // and the decoded vector never depend on the dispatch level.
+
+  /// *lo / *hi = exactly what the sequential chain lo = std::min(lo,
+  /// x[i]), hi = std::max(hi, x[i]) seeded with x[0] returns — NaN
+  /// handling and the sign of a zero endpoint included. n == 0 gives
+  /// 0, 0.
+  void (*chunk_minmax)(const double* x, size_t n, double* lo, double* hi);
+
+  /// Level of x[i]: clamp(round((x[i] - lo) · scale), 0, L) with
+  /// round = std::round (half away from zero) and L = 255 / 65535; a
+  /// NaN product maps to level 0. Levels are written as n bytes (u8)
+  /// or 2n bytes in host order (u16); `out` needs no alignment.
+  void (*quantize_u8)(const double* x, size_t n, double lo, double scale,
+                      uint8_t* out);
+  void (*quantize_u16)(const double* x, size_t n, double lo, double scale,
+                       uint8_t* out);
+
+  /// out[i] = lo + q[i] · step (one multiply round, one add round),
+  /// reading the level layout quantize_* writes.
+  void (*dequantize_u8)(const uint8_t* q, size_t n, double lo, double step,
+                        double* out);
+  void (*dequantize_u16)(const uint8_t* q, size_t n, double lo, double step,
+                         double* out);
 };
 
 /// Highest level this CPU can run (CPUID probe, cached).

@@ -9,6 +9,8 @@
 
 #include <emmintrin.h>
 
+#include <algorithm>
+
 #include "core/simd/kernels.h"
 
 namespace mllibstar {
@@ -131,6 +133,41 @@ void DenseAxpySse2(double* __restrict w, const double* __restrict x,
                              _mm_mul_pd(a, _mm_loadu_pd(x + i + 2))));
   }
   for (; i < n; ++i) w[i] += alpha * x[i];
+}
+
+// Two accumulator pairs of two lanes; same minpd/maxpd operand order
+// and x[0] seeding as the AVX2 form (see kernels_avx2.cc), finished by
+// the lane fold and FixZeroEndpoints.
+void ChunkMinMaxSse2(const double* __restrict x, size_t n, double* lo,
+                     double* hi) {
+  if (n < 4) {
+    ChunkMinMaxScalar(x, n, lo, hi);
+    return;
+  }
+  __m128d lo0 = _mm_set1_pd(x[0]);
+  __m128d lo1 = lo0;
+  __m128d hi0 = lo0;
+  __m128d hi1 = lo0;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m128d a = _mm_loadu_pd(x + i);
+    const __m128d b = _mm_loadu_pd(x + i + 2);
+    lo0 = _mm_min_pd(a, lo0);
+    lo1 = _mm_min_pd(b, lo1);
+    hi0 = _mm_max_pd(a, hi0);
+    hi1 = _mm_max_pd(b, hi1);
+  }
+  const __m128d l = _mm_min_pd(lo1, lo0);
+  const __m128d h = _mm_max_pd(hi1, hi0);
+  double lv = std::min(Lane0(l), Lane1(l));
+  double hv = std::max(Lane0(h), Lane1(h));
+  for (; i < n; ++i) {
+    lv = std::min(lv, x[i]);
+    hv = std::max(hv, x[i]);
+  }
+  FixZeroEndpoints(x, &lv, &hv);
+  *lo = lv;
+  *hi = hv;
 }
 
 }  // namespace simd

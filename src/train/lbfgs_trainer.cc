@@ -38,13 +38,14 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
   int passes = 0;
   std::vector<DenseVector> worker_gradients(k, DenseVector(d));
   ErrorFeedback ef = MakeErrorFeedback(codec(), config().codec, k, d);
+  DenseVector w_wire;  // the broadcast as decoded by a lossy codec
   auto oracle = [&](const DenseVector& w, DenseVector* gradient) -> double {
     spark.BeginStage("lbfgs pass " + std::to_string(passes));
     ScopedSpan pass_span("lbfgs pass " + std::to_string(passes), "trainer");
     const SimTime pass_sim_start = spark.Now();
     RoundCollector round(name(), passes, pass_sim_start, Telemetry::Get());
     spark.Broadcast(model_bytes, config().broadcast, "model-bcast");
-    const DenseVector w_recv = CodecTransmit(codec(), nullptr, 0, w);
+    const DenseVector& w_recv = CodecTransmit(codec(), nullptr, 0, w, &w_wire);
 
     // Fused margin -> loss + derivative -> axpy pass over each CSR
     // partition. Each callback owns its gradient slot and returns its
@@ -66,7 +67,9 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
 
     gradient->SetZero();
     for (size_t r = 0; r < k; ++r) {
-      gradient->AddScaled(CodecTransmit(codec(), &ef, r, worker_gradients[r]),
+      // A lossy wire decodes in place: the slot is rebuilt next pass.
+      gradient->AddScaled(CodecTransmit(codec(), &ef, r, worker_gradients[r],
+                                        &worker_gradients[r]),
                           1.0);
     }
     gradient->Scale(1.0 / n);

@@ -71,6 +71,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
   DenseVector w = InitialWeights(d);
   std::vector<DenseVector> gradients(k, DenseVector(d));
   ErrorFeedback ef = MakeErrorFeedback(codec(), config().codec, k, d);
+  DenseVector w_wire;  // the broadcast as decoded by a lossy codec
 
   int t0 = 0;
   {
@@ -109,7 +110,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
     // (1) Driver broadcasts the current model (through the codec:
     // executors compute at the model they actually received).
     spark.Broadcast(model_bytes, config().broadcast, "model-bcast");
-    const DenseVector w_recv = CodecTransmit(codec(), nullptr, 0, w);
+    const DenseVector& w_recv = CodecTransmit(codec(), nullptr, 0, w, &w_wire);
 
     // (2) Executors compute batch gradients at the received model.
     // Each callback touches only its own gradient slot and Rng, so the
@@ -141,8 +142,9 @@ TrainResult MllibTrainer::Train(const Dataset& data,
     // (4) The driver applies the single update of this step.
     DenseVector gradient_sum(d);
     for (size_t r = 0; r < k; ++r) {
-      gradient_sum.AddScaled(CodecTransmit(codec(), &ef, r, gradients[r]),
-                             1.0);
+      // A lossy wire decodes in place: gradients[r] is rebuilt next step.
+      gradient_sum.AddScaled(
+          CodecTransmit(codec(), &ef, r, gradients[r], &gradients[r]), 1.0);
     }
     const double lr = schedule().LrAt(t);
     regularizer().ApplyGradientStep(&w, lr);
@@ -213,6 +215,7 @@ TrainResult MllibMaTrainer::Train(const Dataset& data,
   DenseVector w = InitialWeights(d);
   std::vector<DenseVector> locals(k, DenseVector(d));
   ErrorFeedback ef = MakeErrorFeedback(codec(), config().codec, k, d);
+  DenseVector w_wire;  // the broadcast as decoded by a lossy codec
   std::vector<std::unique_ptr<LocalOptimizer>> optimizers;
   if (config().local_optimizer.kind != LocalOptimizerKind::kSgd) {
     for (size_t r = 0; r < k; ++r) {
@@ -259,7 +262,7 @@ TrainResult MllibMaTrainer::Train(const Dataset& data,
 
     // (1) Driver broadcasts the current global model through the codec.
     spark.Broadcast(model_bytes, config().broadcast, "model-bcast");
-    const DenseVector w_recv = CodecTransmit(codec(), nullptr, 0, w);
+    const DenseVector& w_recv = CodecTransmit(codec(), nullptr, 0, w, &w_wire);
 
     // (2) Executors run local SGD passes starting from it (SendModel).
     // Per-worker state only (own local model, own Rng, own optimizer);
@@ -291,7 +294,8 @@ TrainResult MllibMaTrainer::Train(const Dataset& data,
     // each crossing the codec with per-worker error feedback.
     spark.TreeAggregate(model_bytes, num_agg, d, "model-agg");
     for (size_t r = 0; r < k; ++r) {
-      locals[r] = CodecTransmit(codec(), &ef, r, locals[r]);
+      // Each local becomes what the wire delivered (decoded in place).
+      CodecTransmit(codec(), &ef, r, locals[r], &locals[r]);
     }
 
     // (4) Driver averages them into the new global model.
@@ -444,14 +448,14 @@ TrainResult MllibStarTrainer::Train(const Dataset& data,
       // Averaging k contributions of d/k coordinates ~ d work units.
       spark.sim().ComputeExact(&spark.sim().worker(r), d,
                                ActivityKind::kAggregate, "range-average");
-      locals[r] = CodecTransmit(codec(), &ef, r, locals[r]);
+      CodecTransmit(codec(), &ef, r, locals[r], &locals[r]);
     }
     global = Average(locals);
 
     // (3) AllGather: owners broadcast their averaged range; every
     // executor reassembles the full model from what the wire delivered.
     spark.ShuffleAllToAll(partition_bytes, "all-gather");
-    global = CodecTransmit(codec(), nullptr, 0, global);
+    CodecTransmit(codec(), nullptr, 0, global, &global);
     for (size_t r = 0; r < k; ++r) locals[r] = global;
 
     const SimTime now = spark.Barrier();

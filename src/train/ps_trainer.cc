@@ -713,7 +713,8 @@ TrainResult PsTrainer::Train(const Dataset& data,
       fl->jitter = sim.NextJitter();
       fl->pull_end = node.clock;
       inflight_bound = std::min(inflight_bound, node.clock);
-      fl->snapshot = CodecTransmit(codec(), nullptr, 0, server.model());
+      fl->snapshot =
+          CodecTransmit(codec(), nullptr, 0, server.model(), &fl->snapshot);
       if (!spare_deltas.empty()) {
         fl->local = std::move(spare_deltas.back());
         spare_deltas.pop_back();
@@ -739,8 +740,8 @@ TrainResult PsTrainer::Train(const Dataset& data,
     // the wire carries whichever of the codec's dense and sparse
     // index/value encodings is smaller.
     uint64_t dense_bytes = 0;
-    const DenseVector delta =
-        CodecTransmit(codec(), &ef, r, pending_delta[r], &dense_bytes);
+    const DenseVector& delta = CodecTransmit(
+        codec(), &ef, r, pending_delta[r], &pending_delta[r], &dense_bytes);
     const uint64_t push_bytes =
         std::min(dense_bytes, server.SparseBytes(delta.CountNonZeros()));
     server.TimePush(&node, push_bytes);

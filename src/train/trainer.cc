@@ -52,7 +52,7 @@ Status TrainerConfig::Validate() const {
         "TrainerConfig.max_comm_steps must be >= 0, got " +
         std::to_string(max_comm_steps));
   }
-  return Status::Ok();
+  return codec.Validate();
 }
 
 Trainer::Trainer(TrainerConfig config)

@@ -130,7 +130,8 @@ struct TrainerConfig {
 
   /// InvalidArgument naming the first out-of-range field: eval_every
   /// < 1, base_lr not finite or <= 0, batch_fraction outside (0, 1],
-  /// or max_comm_steps < 0. Trainer::TrainChecked applies it.
+  /// max_comm_steps < 0, or a field CodecConfig::Validate rejects.
+  /// Trainer::TrainChecked applies it.
   Status Validate() const;
 };
 
