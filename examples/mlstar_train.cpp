@@ -6,9 +6,10 @@
 //
 // Trains on a synthetic preset (or a LIBSVM file via --libsvm=path),
 // splits off a test set, reports convergence and held-out metrics, and
-// optionally saves the model. An out-of-range setting (e.g. --lr=-1 or
-// --batch-fraction=0) is rejected with TrainerConfig::Validate()'s
-// message and exit code 1.
+// optionally saves the model. An out-of-range setting (e.g. --lr=-1,
+// --batch-fraction=0 or --workers=0) is rejected with the
+// TrainerConfig::Validate() or ClusterConfig::Validate() message and
+// exit code 1.
 #include <cstdio>
 
 #include "common/flags.h"

@@ -1,6 +1,42 @@
 #include "sim/cluster_config.h"
 
+#include <cmath>
+#include <string>
+
+#include "common/strings.h"
+
 namespace mllibstar {
+
+Status ClusterConfig::Validate() const {
+  if (num_workers < 1) {
+    return Status::InvalidArgument(
+        "ClusterConfig.num_workers must be >= 1, got " +
+        std::to_string(num_workers));
+  }
+  if (!std::isfinite(bandwidth_bytes_per_sec) ||
+      bandwidth_bytes_per_sec <= 0.0) {
+    return Status::InvalidArgument(
+        "ClusterConfig.bandwidth_bytes_per_sec must be finite and > 0, "
+        "got " +
+        FormatDouble(bandwidth_bytes_per_sec));
+  }
+  if (!std::isfinite(compute_speed) || compute_speed <= 0.0) {
+    return Status::InvalidArgument(
+        "ClusterConfig.compute_speed must be finite and > 0, got " +
+        FormatDouble(compute_speed));
+  }
+  if (!std::isfinite(latency_sec) || latency_sec < 0.0) {
+    return Status::InvalidArgument(
+        "ClusterConfig.latency_sec must be finite and >= 0, got " +
+        FormatDouble(latency_sec));
+  }
+  if (!(task_failure_prob >= 0.0 && task_failure_prob < 1.0)) {
+    return Status::InvalidArgument(
+        "ClusterConfig.task_failure_prob must be in [0, 1), got " +
+        FormatDouble(task_failure_prob));
+  }
+  return Status::Ok();
+}
 
 // Calibration: the synthetic datasets shrink the paper's data by 1000x
 // in both rows and features. Scaling link bandwidth and compute speed

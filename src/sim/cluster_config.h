@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "sim/fault_plan.h"
 #include "sim/membership.h"
 
@@ -58,6 +59,13 @@ struct ClusterConfig {
   bool speculation = false;
   double speculation_quantile = 0.75;
   double speculation_multiplier = 1.5;
+
+  /// InvalidArgument naming the first out-of-range field
+  /// ("ClusterConfig.num_workers ..."): num_workers < 1,
+  /// bandwidth_bytes_per_sec or compute_speed not finite and > 0,
+  /// latency_sec not finite and >= 0, or task_failure_prob outside
+  /// [0, 1). Trainer::TrainChecked applies it.
+  Status Validate() const;
 
   /// The paper's Cluster 1: 9 nodes (1 driver + 8 executors) on a
   /// 1 Gbps network. Bandwidth is scaled by the same 1/1000 factor as

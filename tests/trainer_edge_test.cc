@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <string>
 
 #include "data/synthetic.h"
@@ -269,6 +270,10 @@ struct BadConfigRow {
   const char* field;  ///< must appear in the error message
 };
 
+// Without it gtest prints the row's raw bytes, pointers included, into
+// every test name.
+void PrintTo(const BadConfigRow& row, std::ostream* os) { *os << row.name; }
+
 class TrainCheckedTest : public ::testing::TestWithParam<BadConfigRow> {};
 
 TEST_P(TrainCheckedTest, RejectsBeforeTraining) {
@@ -346,6 +351,89 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BadConfigRow>& info) {
       return std::string(info.param.name);
     });
+
+struct BadClusterRow {
+  const char* name;
+  SystemKind system;
+  void (*corrupt)(ClusterConfig*);
+  const char* field;  ///< must appear in the error message
+};
+
+void PrintTo(const BadClusterRow& row, std::ostream* os) { *os << row.name; }
+
+class TrainCheckedClusterTest
+    : public ::testing::TestWithParam<BadClusterRow> {};
+
+TEST_P(TrainCheckedClusterTest, RejectsBeforeTraining) {
+  const BadClusterRow& row = GetParam();
+  ClusterConfig cluster = SmallCluster();
+  row.corrupt(&cluster);
+  const Status valid = cluster.Validate();
+  EXPECT_EQ(valid.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(valid.message().find(row.field), std::string::npos)
+      << valid.ToString();
+
+  const Result<TrainResult> result =
+      MakeTrainer(row.system, BaseConfig())->TrainChecked(SmallData(),
+                                                          cluster);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().message(), valid.message());
+}
+
+constexpr BadClusterRow kBadClusterRows[] = {
+    {"num_workers_zero", SystemKind::kMllib,
+     [](ClusterConfig* c) { c->num_workers = 0; },
+     "ClusterConfig.num_workers"},
+    {"num_workers_zero_petuum", SystemKind::kPetuum,
+     [](ClusterConfig* c) { c->num_workers = 0; },
+     "ClusterConfig.num_workers"},
+    {"bandwidth_zero", SystemKind::kMllibStar,
+     [](ClusterConfig* c) { c->bandwidth_bytes_per_sec = 0.0; },
+     "ClusterConfig.bandwidth_bytes_per_sec"},
+    {"bandwidth_infinite", SystemKind::kAngel,
+     [](ClusterConfig* c) {
+       c->bandwidth_bytes_per_sec = std::numeric_limits<double>::infinity();
+     },
+     "ClusterConfig.bandwidth_bytes_per_sec"},
+    {"compute_speed_negative", SystemKind::kMllibMa,
+     [](ClusterConfig* c) { c->compute_speed = -1.0; },
+     "ClusterConfig.compute_speed"},
+    {"compute_speed_nan", SystemKind::kPetuumStar,
+     [](ClusterConfig* c) { c->compute_speed = std::nan(""); },
+     "ClusterConfig.compute_speed"},
+    {"latency_negative", SystemKind::kMllibLbfgs,
+     [](ClusterConfig* c) { c->latency_sec = -1e-3; },
+     "ClusterConfig.latency_sec"},
+    {"task_failure_prob_one", SystemKind::kMllib,
+     [](ClusterConfig* c) { c->task_failure_prob = 1.0; },
+     "ClusterConfig.task_failure_prob"},
+    {"task_failure_prob_negative", SystemKind::kMllibStar,
+     [](ClusterConfig* c) { c->task_failure_prob = -0.1; },
+     "ClusterConfig.task_failure_prob"},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    BadClusters, TrainCheckedClusterTest, ::testing::ValuesIn(kBadClusterRows),
+    [](const ::testing::TestParamInfo<BadClusterRow>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(TrainerEdgeTest, CheckedRejectsInitWeightsOfTheWrongDimension) {
+  const Dataset data = SmallData();
+  TrainerConfig config = BaseConfig();
+  config.init_weights = DenseVector(data.num_features() + 1);
+  for (SystemKind kind : {SystemKind::kMllibStar, SystemKind::kPetuum,
+                          SystemKind::kMllibLbfgs}) {
+    const Result<TrainResult> result =
+        MakeTrainer(kind, config)->TrainChecked(data, SmallCluster());
+    ASSERT_FALSE(result.ok()) << SystemName(kind);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("TrainerConfig.init_weights"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+}
 
 TEST(TrainerEdgeTest, CheckedValidConfigTrainsExactlyLikeTrain) {
   const Dataset data = SmallData();
