@@ -57,12 +57,9 @@ void ErrorFeedback::Absorb(size_t stream, const DenseVector& decoded) {
   for (size_t i = 0; i < r.dim(); ++i) rd[i] -= dd[i];
 }
 
-void ErrorFeedback::RestoreResidual(size_t stream,
-                                    const DenseVector& residual) {
-  if (!enabled()) return;
+DenseVector* ErrorFeedback::mutable_residual(size_t stream) {
   MLLIBSTAR_CHECK_LT(stream, residuals_.size());
-  MLLIBSTAR_CHECK_EQ(residual.dim(), residuals_[stream].dim());
-  residuals_[stream] = residual;
+  return &residuals_[stream];
 }
 
 ErrorFeedback MakeErrorFeedback(const GradientCodec& codec,

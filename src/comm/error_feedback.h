@@ -37,9 +37,8 @@ class ErrorFeedback {
   /// re-sent next round. Requires enabled().
   void Absorb(size_t stream, const DenseVector& decoded);
 
-  /// Overwrites one stream's residual (checkpoint restore). No-op on a
-  /// disabled accumulator.
-  void RestoreResidual(size_t stream, const DenseVector& residual);
+  /// One stream's residual, writable (checkpoint restore).
+  DenseVector* mutable_residual(size_t stream);
 
  private:
   std::vector<DenseVector> residuals_;

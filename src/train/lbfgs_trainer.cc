@@ -4,7 +4,6 @@
 
 #include "comm/error_feedback.h"
 #include "common/logging.h"
-#include "common/strings.h"
 #include "core/gd.h"
 #include "core/lbfgs.h"
 #include "core/owlqn.h"
@@ -23,10 +22,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
   const size_t k = spark.num_workers();
   const size_t d = ModelDim(data);
   const uint64_t model_bytes = codec().EncodedBytes(d);
-  const size_t num_agg = std::max<size_t>(
-      1, config().num_aggregators != 0
-             ? config().num_aggregators
-             : static_cast<size_t>(std::sqrt(static_cast<double>(k))));
+  const size_t num_agg = TreeAggregators(k);
 
   std::vector<CsrBlock> partitions = PartitionCsr(data, k);
   const double n = static_cast<double>(data.size());
@@ -88,20 +84,8 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
     round.Finish(now);
     // The recorded curve always shows the full objective.
     const double l1s = regularizer().l1_lambda();
-    const double full = l1s > 0.0 ? smooth + l1s * w.Norm1() : smooth;
-    result.curve.Add(passes, now, full);
-    {
-      Telemetry& obs = Telemetry::Get();
-      if (obs.enabled()) {
-        obs.RecordEvent("eval", "trainer", now,
-                        {{"system", name()},
-                         {"step", std::to_string(passes)},
-                         {"objective", FormatDouble(full, 9)}});
-        obs.metrics().Counter("train.evals", {{"system", name()}}).Add();
-        obs.ObserveSeries("objective", SeriesAgg::kMean, now, full);
-        obs.SampleWindows(now);
-      }
-    }
+    RecordEval(passes, now, l1s > 0.0 ? smooth + l1s * w.Norm1() : smooth,
+               &result);
     return smooth;
   };
 
@@ -125,64 +109,47 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
     solved = solver.Minimize(oracle, InitialWeights(d));
   } else {
     LbfgsSolver solver(options);
+    // The L-BFGS checkpoint layout: the solver state between
+    // iterations, the error-feedback residuals and the elastic state.
     LbfgsState state;
     state.x = InitialWeights(d);
-    {
-      Checkpoint ck;
-      if (TryResume(config().checkpoint, &ck)) {
-        MLLIBSTAR_CHECK_EQ(ck.TakeU64(),
-                           static_cast<uint64_t>(CheckpointTag::kLbfgs));
-        MLLIBSTAR_CHECK_EQ(ck.TakeU64(),
-                           static_cast<uint64_t>(config().num_classes));
-        state.iteration = static_cast<int>(ck.TakeU64());
-        state.evaluated = ck.TakeU64() != 0;
-        state.objective = ck.TakeDouble();
-        state.x = ck.TakeVector();
-        state.gradient = ck.TakeVector();
-        MLLIBSTAR_CHECK_EQ(state.x.dim(), d);
-        const uint64_t m = ck.TakeU64();
-        for (uint64_t i = 0; i < m; ++i) {
-          state.s_history.push_back(ck.TakeVector());
-          state.y_history.push_back(ck.TakeVector());
-          state.rho_history.push_back(ck.TakeDouble());
-        }
-        TakeErrorFeedback(&ck, &ef);
-        // Elastic state: fired churn events stay fired, partition
-        // hosting and pending rebuilds resume exactly where they were.
-        {
-          std::vector<uint64_t> ewords(ck.TakeU64());
-          for (uint64_t& ew : ewords) ew = ck.TakeU64();
-          spark.RestoreElasticWords(ewords);
-        }
-        MLLIBSTAR_CHECK(ck.exhausted());
+    const auto layout = [&](Checkpoint* ck, LbfgsState* st) {
+      ck->Header(CheckpointTag::kLbfgs, config().num_classes);
+      ck->Field(&st->iteration);
+      ck->Field(&st->evaluated);
+      ck->Field(&st->objective);
+      ck->Field(&st->x);
+      ck->Field(&st->gradient);
+      size_t m = st->s_history.size();
+      ck->Field(&m);
+      st->s_history.resize(m);
+      st->y_history.resize(m);
+      st->rho_history.resize(m);
+      for (size_t i = 0; i < m; ++i) {
+        ck->Field(&st->s_history[i]);
+        ck->Field(&st->y_history[i]);
+        ck->Field(&st->rho_history[i]);
       }
+      ck->Field(&ef);
+      ck->Through([&] { return spark.SaveElasticWords(); },
+                  [&](const std::vector<uint64_t>& words) {
+                    spark.RestoreElasticWords(words);
+                  });
+    };
+    if (RestoreCheckpoint(config().checkpoint,
+                          [&](Checkpoint* ck) { layout(ck, &state); })) {
+      MLLIBSTAR_CHECK_EQ(state.x.dim(), d);
     }
     LbfgsSolver::IterationObserver observer;
     if (config().checkpoint.enabled() &&
         config().checkpoint.every_steps > 0) {
       observer = [&](const LbfgsState& st) {
         if (!ShouldCheckpoint(config().checkpoint, st.iteration)) return;
-        Checkpoint ck;
-        ck.PutU64(static_cast<uint64_t>(CheckpointTag::kLbfgs));
-        ck.PutU64(static_cast<uint64_t>(config().num_classes));
-        ck.PutU64(static_cast<uint64_t>(st.iteration));
-        ck.PutU64(st.evaluated ? 1 : 0);
-        ck.PutDouble(st.objective);
-        ck.PutVector(st.x);
-        ck.PutVector(st.gradient);
-        ck.PutU64(st.s_history.size());
-        for (size_t i = 0; i < st.s_history.size(); ++i) {
-          ck.PutVector(st.s_history[i]);
-          ck.PutVector(st.y_history[i]);
-          ck.PutDouble(st.rho_history[i]);
-        }
-        PutErrorFeedback(&ck, ef);
-        {
-          const std::vector<uint64_t> ewords = spark.SaveElasticWords();
-          ck.PutU64(ewords.size());
-          for (uint64_t ew : ewords) ck.PutU64(ew);
-        }
-        MLLIBSTAR_CHECK_OK(ck.WriteFile(config().checkpoint.path));
+        // The layout is two-way, so it saves from a copy of the
+        // solver's read-only state.
+        LbfgsState snapshot = st;
+        SaveCheckpoint(config().checkpoint,
+                       [&](Checkpoint* ck) { layout(ck, &snapshot); });
       };
     }
     solved = solver.MinimizeFrom(oracle, std::move(state), observer);
@@ -192,11 +159,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
   result.comm_steps = passes;
   result.final_weights = std::move(solved.minimizer);
   result.diverged = !std::isfinite(solved.objective);
-  result.sim_seconds = spark.Now();
-  result.total_bytes = spark.total_bytes();
-  result.faults = spark.sim().faults().stats();
-  result.membership = spark.membership().stats();
-  result.trace = std::move(spark.trace());
+  FinishResult(&spark.sim(), spark.total_bytes(), &result);
   return result;
 }
 

@@ -10,7 +10,6 @@
 
 #include "comm/error_feedback.h"
 #include "common/logging.h"
-#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/gd.h"
 #include "data/partition.h"
@@ -20,15 +19,6 @@
 #include "obs/telemetry.h"
 
 namespace mllibstar {
-namespace {
-
-size_t BatchSize(size_t partition_size, double fraction) {
-  if (partition_size == 0) return 0;
-  const double raw = fraction * static_cast<double>(partition_size);
-  return std::clamp<size_t>(static_cast<size_t>(raw), 1, partition_size);
-}
-
-}  // namespace
 
 PsTrainer::PsTrainer(Mode mode, TrainerConfig config)
     : Trainer(std::move(config)), mode_(mode) {}
@@ -87,10 +77,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
 
   const size_t k = sim.num_workers();
   std::vector<CsrBlock> partitions = PartitionCsr(data, k);
-  Rng root(config().seed);
-  std::vector<Rng> rngs;
-  rngs.reserve(k);
-  for (size_t r = 0; r < k; ++r) rngs.push_back(root.Fork());
+  std::vector<Rng> rngs = WorkerRngs(k);
 
   // Warm start (the λ path): seed the server model before any worker
   // pulls, and refresh the crash-restore snapshot so a shard failure
@@ -132,16 +119,20 @@ TrainResult PsTrainer::Train(const Dataset& data,
   // holds k of them at once, and handing them back to the allocator
   // every round would page the memory in again each time.
   std::vector<DenseVector> spare_deltas;
-  std::vector<size_t> round_pushes;           // pushes seen per round
-  std::vector<size_t> round_contribs;         // deltas actually applied
-  std::vector<SimTime> round_end;             // latest push per round
-  std::vector<bool> round_complete;           // completion fired once
-  std::vector<DenseVector> round_stage;       // averaging: delta sums
-  // Staleness occupancy per round (pure observation — never read by
-  // the math): how far behind the leader each applied push was.
-  std::vector<double> round_stale_sum;
-  std::vector<double> round_stale_max;
-  std::vector<uint64_t> round_stale_n;
+  // Per-round progress, indexed by round.
+  struct RoundState {
+    size_t pushes = 0;      ///< pushes seen
+    size_t contribs = 0;    ///< deltas actually applied
+    SimTime end = 0.0;      ///< latest push
+    bool complete = false;  ///< completion fired once
+    DenseVector stage;      ///< averaging: delta sum
+    // Staleness occupancy (pure observation — never read by the math):
+    // how far behind the leader each applied push was.
+    double stale_sum = 0.0;
+    double stale_max = 0.0;
+    uint64_t stale_n = 0;
+  };
+  std::vector<RoundState> rounds;
 
   // Elastic membership. join_round[r] is the first round worker r
   // participates in (kNeverJoined while it sits in the joiner pool);
@@ -161,77 +152,64 @@ TrainResult PsTrainer::Train(const Dataset& data,
   std::vector<bool> pending_catchup(k, false);
 
   int max_rounds = config().max_comm_steps;
-  int last_completed_round = 0;
 
-  // Resume. PS checkpoints are only written at quiescent BSP round
-  // boundaries (every worker has pushed round t, nothing queued or in
-  // flight), so the restored state is exactly "all workers about to
-  // schedule round t+1": model, per-worker RNG cursors, the shared
-  // jitter/failure/fault streams, every virtual clock, and the finish
-  // times the consistency barrier reads. SSP/ASP runs have no
-  // quiescent point and never write checkpoints.
-  int resumed_round = 0;
-  {
-    Checkpoint ck;
-    if (TryResume(config().checkpoint, &ck)) {
-      MLLIBSTAR_CHECK_EQ(ck.TakeU64(),
-                         static_cast<uint64_t>(CheckpointTag::kPs));
-      MLLIBSTAR_CHECK_EQ(ck.TakeU64(),
-                         static_cast<uint64_t>(config().num_classes));
-      resumed_round = static_cast<int>(ck.TakeU64());
-      *server.mutable_model() = ck.TakeVector();
-      MLLIBSTAR_CHECK_EQ(server.model().dim(), d);
-      // A later shard crash must roll back to the restored state, not
-      // to the fresh context's zeros.
-      server.CheckpointServerNow();
-      TakeWorkerRngs(&ck, &rngs);
-      sim.mutable_jitter_rng()->RestoreState(ck.TakeRngState());
-      sim.mutable_failure_rng()->RestoreState(ck.TakeRngState());
-      sim.faults().mutable_rng()->RestoreState(ck.TakeRngState());
-      sim.RestoreClocks(ck.TakeDoubles());
-      MLLIBSTAR_CHECK_EQ(ck.TakeU64(), k);
-      for (size_t r = 0; r < k; ++r) finish_times[r] = ck.TakeDoubles();
-      TakeErrorFeedback(&ck, &ef);
-      // Membership block: the failure detector resumes mid-churn with
-      // already-fired events fired, the Poisson cursor un-rewound, and
-      // every worker's participation window intact — a resumed churn
-      // run replays the remaining transitions bit-identically.
-      {
-        std::vector<uint64_t> mwords(ck.TakeU64());
-        for (uint64_t& w : mwords) w = ck.TakeU64();
-        membership.RestoreWords(mwords);
-        for (size_t v = 0; v < k; ++v) {
-          join_round[v] = static_cast<int>(ck.TakeU64());
-        }
-        for (size_t v = 0; v < k; ++v) {
-          rounds_done[v] = static_cast<int>(ck.TakeU64());
-        }
-        const std::vector<double> admits = ck.TakeDoubles();
-        MLLIBSTAR_CHECK_EQ(admits.size(), k);
-        for (size_t v = 0; v < k; ++v) admit_time[v] = admits[v];
-        for (size_t v = 0; v < k; ++v) pending_catchup[v] = ck.TakeU64() != 0;
-        // Shard departures already applied before the snapshot keep
-        // their redirection without re-charging the migration.
-        for (size_t s = 0; s < ps.num_shards; ++s) {
-          if (membership.IsServerLeft(s)) server.MarkServerLeft(s);
-        }
-      }
-      MLLIBSTAR_CHECK(ck.exhausted());
-      // Completed rounds stay completed; their staging slots were
-      // already released and will not be touched again.
-      round_pushes.assign(resumed_round, k);
-      round_contribs.assign(resumed_round, k);
-      round_end.assign(resumed_round, 0.0);
-      round_complete.assign(resumed_round, true);
-      round_stale_sum.assign(resumed_round, 0.0);
-      round_stale_max.assign(resumed_round, 0.0);
-      round_stale_n.assign(resumed_round, 0);
-      if (ps.aggregation == PsAggregation::kAverageModels) {
-        round_stage.assign(resumed_round, DenseVector());
-      }
-      last_completed_round = resumed_round;
+  // The PS checkpoint layout. PS checkpoints are only written at
+  // quiescent BSP round boundaries (every worker has pushed round t,
+  // nothing queued or in flight), so the state is exactly "all workers
+  // about to schedule round t+1": model, per-worker RNG cursors, the
+  // shared jitter/failure/fault streams, every virtual clock, and the
+  // finish times the consistency barrier reads. SSP/ASP runs have no
+  // quiescent point and never write checkpoints. join_round,
+  // rounds_done and finish_times carry the ConsistencyTracker's
+  // per-worker state across the file.
+  int checkpoint_round = 0;
+  const CheckpointLayout layout = [&](Checkpoint* ck) {
+    ck->Header(CheckpointTag::kPs, config().num_classes);
+    ck->Field(&checkpoint_round);
+    ck->Field(server.mutable_model());
+    ck->List(&rngs);
+    ck->Field(sim.mutable_jitter_rng());
+    ck->Field(sim.mutable_failure_rng());
+    ck->Field(sim.faults().mutable_rng());
+    ck->Through([&] { return sim.SaveClocks(); },
+                [&](const std::vector<double>& clocks) {
+                  sim.RestoreClocks(clocks);
+                });
+    ck->List(&finish_times);
+    ck->Field(&ef);
+    // Membership block: the failure detector resumes mid-churn with
+    // already-fired events fired, the Poisson cursor un-rewound, and
+    // every worker's participation window intact — a resumed churn
+    // run replays the remaining transitions bit-identically.
+    ck->Through([&] { return membership.SaveWords(); },
+                [&](const std::vector<uint64_t>& words) {
+                  membership.RestoreWords(words);
+                });
+    ck->Each(&join_round);
+    ck->Each(&rounds_done);
+    ck->List(&admit_time);
+    ck->Each(&pending_catchup);
+  };
+  if (RestoreCheckpoint(config().checkpoint, layout)) {
+    MLLIBSTAR_CHECK_EQ(server.model().dim(), d);
+    // A later shard crash must roll back to the restored state, not to
+    // the fresh context's zeros.
+    server.CheckpointServerNow();
+    // Shard departures already applied before the snapshot keep their
+    // redirection without re-charging the migration.
+    for (size_t s = 0; s < ps.num_shards; ++s) {
+      if (membership.IsServerLeft(s)) server.MarkServerLeft(s);
     }
   }
+  const int resumed_round = checkpoint_round;
+  // Completed rounds stay completed; their staging slots were already
+  // released and will not be touched again.
+  rounds.resize(resumed_round);
+  for (RoundState& done : rounds) {
+    done.pushes = done.contribs = k;
+    done.complete = true;
+  }
+  int last_completed_round = resumed_round;
 
   // Gate, barrier, leader and expected-push counts, all incremental.
   // Its active flags mirror the membership tracker's: they are synced
@@ -262,7 +240,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
   auto local_compute = [&](size_t r, int round,
                            DenseVector* local) -> ComputeStats {
     const CsrBlock& part = partitions[r];
-    const size_t bsize = BatchSize(part.rows(), config().batch_fraction);
+    const size_t bsize = BatchSize(part.rows());
     const double lr = schedule().LrAt(round);
     ComputeStats stats;
     if (bsize == 0) return stats;
@@ -353,7 +331,6 @@ TrainResult PsTrainer::Train(const Dataset& data,
     int round = 0;
     uint64_t inc = 0;       ///< worker incarnation at pull time
     double jitter = 1.0;    ///< pre-drawn from the shared stream
-    SimTime pull_end = 0.0; ///< worker clock right after its pull
     DenseVector snapshot;   ///< model the wire delivered
     DenseVector local;      ///< the compute task leaves the delta here
     ComputeStats stats;     ///< filled by the compute task
@@ -433,13 +410,14 @@ TrainResult PsTrainer::Train(const Dataset& data,
   // every push and after every departure — a leave can complete the
   // round that was only waiting on the departed pusher.
   auto complete_round = [&](int t) {
-    if (t < 0 || static_cast<size_t>(t) >= round_pushes.size()) return;
-    if (round_complete[t]) return;
+    if (t < 0 || static_cast<size_t>(t) >= rounds.size()) return;
+    RoundState& rs = rounds[t];
+    if (rs.complete) return;
     // Every worker that joined by round t and has not departed with
     // the push still owed; k when the membership never changes.
     const size_t expected = progress.ExpectedPushes(t);
-    if (round_pushes[t] < expected || round_pushes[t] == 0) return;
-    round_complete[t] = true;
+    if (rs.pushes < expected || rs.pushes == 0) return;
+    rs.complete = true;
     if (membership.enabled() && expected < k) {
       ++membership.stats().degraded_rounds;
     }
@@ -449,9 +427,9 @@ TrainResult PsTrainer::Train(const Dataset& data,
       // were actually applied (all contributors unless staleness
       // discarded some; with a full fleet and none discarded this is
       // exactly the old 1/k).
-      if (round_contribs[t] > 0) {
-        round_stage[t].Scale(1.0 / static_cast<double>(round_contribs[t]));
-        server.mutable_model()->AddScaled(round_stage[t], 1.0);
+      if (rs.contribs > 0) {
+        rs.stage.Scale(1.0 / static_cast<double>(rs.contribs));
+        server.mutable_model()->AddScaled(rs.stage, 1.0);
         // The average was applied outside PsContext, so refresh its
         // crash-restore snapshot (lossless mode only; a positive
         // cadence keeps its lossy window).
@@ -459,7 +437,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
           server.CheckpointServerNow();
         }
       }
-      round_stage[t] = DenseVector();  // release
+      rs.stage = DenseVector();  // release
     }
     const int completed = t + 1;
     last_completed_round = std::max(last_completed_round, completed);
@@ -469,7 +447,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
         obs.metrics()
             .Counter("train.rounds_completed", {{"system", name()}})
             .Add();
-        obs.RecordEvent("round-complete", "trainer", round_end[t],
+        obs.RecordEvent("round-complete", "trainer", rs.end,
                         {{"system", name()},
                          {"round", std::to_string(completed)}});
         // Per-round profile. A PS round has no task batches — the
@@ -481,7 +459,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
         profile.system = name();
         profile.round = t;
         profile.sim_start = profile_frontier;
-        profile.sim_end = round_end[t];
+        profile.sim_end = rs.end;
         std::vector<double> offsets;
         for (const std::vector<SimTime>& times : progress.finish_times()) {
           if (times.size() > static_cast<size_t>(t) && times[t] > 0.0) {
@@ -504,18 +482,18 @@ TrainResult PsTrainer::Train(const Dataset& data,
             CommByteSnapshot::Capture(obs.metrics());
         profile_snap.DiffInto(now_snap, &profile);
         profile_snap = now_snap;
-        profile.staleness_samples = round_stale_n[t];
-        if (round_stale_n[t] > 0) {
+        profile.staleness_samples = rs.stale_n;
+        if (rs.stale_n > 0) {
           profile.staleness_mean =
-              round_stale_sum[t] / static_cast<double>(round_stale_n[t]);
-          profile.staleness_max = round_stale_max[t];
-          obs.ObserveSeries("staleness", SeriesAgg::kMean, round_end[t],
+              rs.stale_sum / static_cast<double>(rs.stale_n);
+          profile.staleness_max = rs.stale_max;
+          obs.ObserveSeries("staleness", SeriesAgg::kMean, rs.end,
                             profile.staleness_mean);
         }
-        obs.ObserveSeries("straggler.spread", SeriesAgg::kMax, round_end[t],
+        obs.ObserveSeries("straggler.spread", SeriesAgg::kMax, rs.end,
                           profile.task_max - profile.task_p50);
-        obs.SampleWindows(round_end[t]);
-        profile_frontier = std::max(profile_frontier, round_end[t]);
+        obs.SampleWindows(rs.end);
+        profile_frontier = std::max(profile_frontier, rs.end);
         obs.RecordRoundProfile(std::move(profile));
       }
     }
@@ -526,56 +504,23 @@ TrainResult PsTrainer::Train(const Dataset& data,
     if (ps.consistency == ConsistencyKind::kBsp && queue.empty() &&
         inflight.empty() &&
         ShouldCheckpoint(config().checkpoint, completed)) {
-      Checkpoint ck;
-      ck.PutU64(static_cast<uint64_t>(CheckpointTag::kPs));
-      ck.PutU64(static_cast<uint64_t>(config().num_classes));
-      ck.PutU64(static_cast<uint64_t>(completed));
-      ck.PutVector(server.model());
-      PutWorkerRngs(&ck, rngs);
-      ck.PutRngState(sim.mutable_jitter_rng()->SaveState());
-      ck.PutRngState(sim.mutable_failure_rng()->SaveState());
-      ck.PutRngState(sim.faults().mutable_rng()->SaveState());
-      ck.PutDoubles(sim.SaveClocks());
-      ck.PutU64(k);
-      for (const std::vector<SimTime>& times : progress.finish_times()) {
-        ck.PutDoubles(times);
+      checkpoint_round = completed;
+      for (size_t v = 0; v < k; ++v) {
+        join_round[v] = progress.join_round(v);
+        rounds_done[v] = progress.rounds_done(v);
       }
-      PutErrorFeedback(&ck, ef);
-      {
-        const std::vector<uint64_t> mwords = membership.SaveWords();
-        ck.PutU64(mwords.size());
-        for (uint64_t w : mwords) ck.PutU64(w);
-        for (size_t v = 0; v < k; ++v) {
-          ck.PutU64(static_cast<uint64_t>(progress.join_round(v)));
-        }
-        for (size_t v = 0; v < k; ++v) {
-          ck.PutU64(static_cast<uint64_t>(progress.rounds_done(v)));
-        }
-        ck.PutDoubles(
-            std::vector<double>(admit_time.begin(), admit_time.end()));
-        for (size_t v = 0; v < k; ++v) ck.PutU64(pending_catchup[v] ? 1 : 0);
-      }
-      MLLIBSTAR_CHECK_OK(ck.WriteFile(config().checkpoint.path));
+      finish_times = progress.finish_times();
+      SaveCheckpoint(config().checkpoint, layout);
     }
     if (completed % config().eval_every == 0 || completed >= max_rounds) {
       const double objective = Eval(data, server.model());
-      result.curve.Add(completed, round_end[t], objective);
-      {
-        Telemetry& obs = Telemetry::Get();
-        if (obs.enabled()) {
-          obs.RecordEvent("eval", "trainer", round_end[t],
-                          {{"system", name()},
-                           {"step", std::to_string(completed)},
-                           {"objective", FormatDouble(objective, 9)}});
-          obs.metrics().Counter("train.evals", {{"system", name()}}).Add();
-        }
-      }
+      RecordEval(completed, rs.end, objective, &result);
       if (IsDiverged(objective)) {
         result.diverged = true;
         stop_all = true;
         return;
       }
-      if (ShouldStop(completed, round_end[t], objective)) {
+      if (ShouldStop(completed, rs.end, objective)) {
         max_rounds = std::min(max_rounds, completed);
       }
     }
@@ -617,7 +562,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
             obs.RecordEvent("membership-leave", "membership", ev.detected_at,
                             {{"worker", gone.name}});
           }
-          for (int t = 0; t < static_cast<int>(round_pushes.size()); ++t) {
+          for (int t = 0; t < static_cast<int>(rounds.size()); ++t) {
             complete_round(t);
           }
           break;
@@ -711,7 +656,6 @@ TrainResult PsTrainer::Train(const Dataset& data,
       fl->round = round;
       fl->inc = inc;
       fl->jitter = sim.NextJitter();
-      fl->pull_end = node.clock;
       inflight_bound = std::min(inflight_bound, node.clock);
       fl->snapshot =
           CodecTransmit(codec(), nullptr, 0, server.model(), &fl->snapshot);
@@ -745,16 +689,13 @@ TrainResult PsTrainer::Train(const Dataset& data,
     const uint64_t push_bytes =
         std::min(dense_bytes, server.SparseBytes(delta.CountNonZeros()));
     server.TimePush(&node, push_bytes);
-    if (static_cast<size_t>(round) >= round_pushes.size()) {
-      round_pushes.resize(round + 1, 0);
-      round_contribs.resize(round + 1, 0);
-      round_end.resize(round + 1, 0.0);
-      round_complete.resize(round + 1, false);
-      round_stale_sum.resize(round + 1, 0.0);
-      round_stale_max.resize(round + 1, 0.0);
-      round_stale_n.resize(round + 1, 0);
+    if (static_cast<size_t>(round) >= rounds.size()) {
+      const size_t first_new = rounds.size();
+      rounds.resize(round + 1);
       if (ps.aggregation == PsAggregation::kAverageModels) {
-        round_stage.resize(round + 1, DenseVector(d));
+        for (size_t i = first_new; i < rounds.size(); ++i) {
+          rounds[i].stage = DenseVector(d);
+        }
       }
     }
     // A joiner's first landed push closes its catch-up window.
@@ -773,24 +714,24 @@ TrainResult PsTrainer::Train(const Dataset& data,
     const int leader = progress.leader();
     const bool stale =
         ps.discard_stale_pushes && leader - round > ps.staleness + 1;
+    RoundState& rs = rounds[round];
     if (stale) {
       ++sim.faults().stats().stale_pushes_discarded;
-    } else if (ps.aggregation == PsAggregation::kSumDeltas) {
-      server.ApplyDelta(delta);
-      ++round_contribs[round];
     } else {
-      round_stage[round].AddScaled(delta, 1.0);
-      ++round_contribs[round];
-    }
-    if (!stale) {
+      if (ps.aggregation == PsAggregation::kSumDeltas) {
+        server.ApplyDelta(delta);
+      } else {
+        rs.stage.AddScaled(delta, 1.0);
+      }
+      ++rs.contribs;
       const double lag = static_cast<double>(leader - round);
-      round_stale_sum[round] += lag;
-      round_stale_max[round] = std::max(round_stale_max[round], lag);
-      ++round_stale_n[round];
+      rs.stale_sum += lag;
+      rs.stale_max = std::max(rs.stale_max, lag);
+      ++rs.stale_n;
     }
     spare_deltas.push_back(std::move(pending_delta[r]));
-    ++round_pushes[round];
-    round_end[round] = std::max(round_end[round], node.clock);
+    ++rs.pushes;
+    rs.end = std::max(rs.end, node.clock);
     const int frontier = progress.frontier();
     const int round_budget = max_rounds;
     progress.FinishRound(r, node.clock);
@@ -816,11 +757,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
 
   result.comm_steps = std::min(last_completed_round, max_rounds);
   result.final_weights = server.model();
-  result.sim_seconds = sim.Now();
-  result.total_bytes = server.total_bytes();
-  result.faults = sim.faults().stats();
-  result.membership = membership.stats();
-  result.trace = std::move(sim.trace());
+  FinishResult(&sim, server.total_bytes(), &result);
   return result;
 }
 

@@ -115,45 +115,39 @@ PathResult RunPath(const Dataset& data, const ClusterConfig& cluster,
   DenseVector warm;
   std::vector<DenseVector> fold_warm(
       config.num_folds > 1 ? config.num_folds : 0);
-  size_t next_index = 0;
   double best_metric = 0.0;
   int patience = 0;
 
-  // Resume. The grid is restored rather than re-derived so a resumed
-  // path never depends on recomputing λ_max.
-  {
-    Checkpoint ck;
-    if (TryResume(config.checkpoint, &ck)) {
-      MLLIBSTAR_CHECK_EQ(ck.TakeU64(),
-                         static_cast<uint64_t>(CheckpointTag::kPath));
-      MLLIBSTAR_CHECK_EQ(
-          ck.TakeU64(), static_cast<uint64_t>(config.trainer.num_classes));
-      result.lambda_max = ck.TakeDouble();
-      result.lambdas = ck.TakeDoubles();
-      MLLIBSTAR_CHECK_EQ(result.lambdas.size(), config.n_lambdas);
-      next_index = ck.TakeU64();
-      result.best_index = ck.TakeU64();
-      best_metric = ck.TakeDouble();
-      patience = static_cast<int>(ck.TakeU64());
-      warm = ck.TakeVector();
-      const uint64_t folds = ck.TakeU64();
-      MLLIBSTAR_CHECK_EQ(folds, fold_warm.size());
-      for (uint64_t f = 0; f < folds; ++f) fold_warm[f] = ck.TakeVector();
-      for (size_t i = 0; i < next_index; ++i) {
-        PathSolve solve;
-        solve.lambda = ck.TakeDouble();
-        solve.cv_loss = ck.TakeDouble();
-        solve.objective = ck.TakeDouble();
-        solve.nnz = ck.TakeU64();
-        solve.comm_steps = static_cast<int>(ck.TakeU64());
-        solve.sim_seconds = ck.TakeDouble();
-        solve.wall_seconds = ck.TakeDouble();
-        solve.weights = ck.TakeVector();
-        result.solves.push_back(std::move(solve));
-      }
-      MLLIBSTAR_CHECK(ck.exhausted());
+  // The path checkpoint layout, written at solve boundaries. The grid
+  // is restored rather than re-derived so a resumed path never depends
+  // on recomputing λ_max.
+  const CheckpointLayout layout = [&](Checkpoint* ck) {
+    ck->Header(CheckpointTag::kPath, config.trainer.num_classes);
+    ck->Field(&result.lambda_max);
+    ck->Field(&result.lambdas);
+    size_t solved = result.solves.size();
+    ck->Field(&solved);
+    ck->Field(&result.best_index);
+    ck->Field(&best_metric);
+    ck->Field(&patience);
+    ck->Field(&warm);
+    ck->List(&fold_warm);
+    result.solves.resize(solved);
+    for (PathSolve& s : result.solves) {
+      ck->Field(&s.lambda);
+      ck->Field(&s.cv_loss);
+      ck->Field(&s.objective);
+      ck->Field(&s.nnz);
+      ck->Field(&s.comm_steps);
+      ck->Field(&s.sim_seconds);
+      ck->Field(&s.wall_seconds);
+      ck->Field(&s.weights);
     }
+  };
+  if (RestoreCheckpoint(config.checkpoint, layout)) {
+    MLLIBSTAR_CHECK_EQ(result.lambdas.size(), config.n_lambdas);
   }
+  const size_t next_index = result.solves.size();
   if (result.lambdas.empty()) {
     result.lambda_max =
         config.lambda_max > 0.0
@@ -230,32 +224,9 @@ PathResult RunPath(const Dataset& data, const ClusterConfig& cluster,
     }
     result.solves.push_back(std::move(solve));
 
-    if (config.checkpoint.enabled() &&
-        ShouldCheckpoint(config.checkpoint,
+    if (ShouldCheckpoint(config.checkpoint,
                          static_cast<int>(result.solves.size()))) {
-      Checkpoint ck;
-      ck.PutU64(static_cast<uint64_t>(CheckpointTag::kPath));
-      ck.PutU64(static_cast<uint64_t>(config.trainer.num_classes));
-      ck.PutDouble(result.lambda_max);
-      ck.PutDoubles(result.lambdas);
-      ck.PutU64(result.solves.size());
-      ck.PutU64(result.best_index);
-      ck.PutDouble(best_metric);
-      ck.PutU64(static_cast<uint64_t>(patience));
-      ck.PutVector(warm);
-      ck.PutU64(fold_warm.size());
-      for (const DenseVector& fw : fold_warm) ck.PutVector(fw);
-      for (const PathSolve& s : result.solves) {
-        ck.PutDouble(s.lambda);
-        ck.PutDouble(s.cv_loss);
-        ck.PutDouble(s.objective);
-        ck.PutU64(s.nnz);
-        ck.PutU64(static_cast<uint64_t>(s.comm_steps));
-        ck.PutDouble(s.sim_seconds);
-        ck.PutDouble(s.wall_seconds);
-        ck.PutVector(s.weights);
-      }
-      MLLIBSTAR_CHECK_OK(ck.WriteFile(config.checkpoint.path));
+      SaveCheckpoint(config.checkpoint, layout);
     }
 
     if (patience >= config.path_patience) {

@@ -112,24 +112,32 @@ TEST(CheckpointTest, WordStoreRoundTripsThroughDisk) {
   Rng rng(9);
   (void)rng.NextGaussian();  // leave a cached gaussian in the state
   Checkpoint out;
-  out.PutU64(42);
-  out.PutDouble(-3.25);
-  out.PutVector(DenseVector(std::vector<double>{1.5, -2.5, 0.0}));
-  out.PutRngState(rng.SaveState());
+  uint64_t word = 42;
+  double real = -3.25;
+  DenseVector vec(std::vector<double>{1.5, -2.5, 0.0});
+  out.Field(&word);
+  out.Field(&real);
+  out.Field(&vec);
+  out.Field(&rng);  // saving only reads the cursor
   ASSERT_TRUE(out.WriteFile(path).ok());
   ASSERT_TRUE(Checkpoint::Exists(path));
 
   Checkpoint in;
   ASSERT_TRUE(in.ReadFile(path).ok());
-  EXPECT_EQ(in.TakeU64(), 42u);
-  EXPECT_EQ(in.TakeDouble(), -3.25);
-  const DenseVector v = in.TakeVector();
+  uint64_t word_in = 0;
+  double real_in = 0.0;
+  DenseVector v;
+  Rng restored(1);
+  in.Field(&word_in);
+  in.Field(&real_in);
+  in.Field(&v);
+  in.Field(&restored);
+  EXPECT_EQ(word_in, 42u);
+  EXPECT_EQ(real_in, -3.25);
   ASSERT_EQ(v.dim(), 3u);
   EXPECT_EQ(v[0], 1.5);
   EXPECT_EQ(v[1], -2.5);
   EXPECT_EQ(v[2], 0.0);
-  Rng restored(1);
-  restored.RestoreState(in.TakeRngState());
   EXPECT_TRUE(in.exhausted());
   for (int i = 0; i < 16; ++i) {
     EXPECT_EQ(restored.NextDouble(), rng.NextDouble());
@@ -140,8 +148,10 @@ TEST(CheckpointTest, WordStoreRoundTripsThroughDisk) {
 TEST(CheckpointTest, CorruptFileIsRejected) {
   const std::string path = testing::TempDir() + "/ck_corrupt.bin";
   Checkpoint out;
-  out.PutU64(7);
-  out.PutDouble(2.5);
+  uint64_t word = 7;
+  double real = 2.5;
+  out.Field(&word);
+  out.Field(&real);
   ASSERT_TRUE(out.WriteFile(path).ok());
   {
     // Flip one payload byte behind the checksum's back.
