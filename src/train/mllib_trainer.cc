@@ -46,7 +46,8 @@ TrainResult SparkSgdTrainer::Train(const Dataset& data,
   }
 
   result.curve.set_label(name());
-  result.curve.Add(done, 0.0, Eval(data, run.w));
+  result.curve.Add(done, 0.0,
+                   Eval(run.partitions, run.w, spark.host_pool()));
 
   ScopedSpan run_span("train:" + name(), "trainer");
   while (done < config().max_comm_steps) {
@@ -67,7 +68,8 @@ TrainResult SparkSgdTrainer::Train(const Dataset& data,
       SaveCheckpoint(config().checkpoint, layout);
     }
     if (done % config().eval_every == 0 || done == config().max_comm_steps) {
-      const double objective = Eval(data, run.w);
+      const double objective =
+          Eval(run.partitions, run.w, spark.host_pool());
       RecordEval(done, now, objective, &result);
       if (IsDiverged(objective)) {
         result.diverged = true;

@@ -78,6 +78,13 @@ TrainResult PsTrainer::Train(const Dataset& data,
   const size_t k = sim.num_workers();
   std::vector<CsrBlock> partitions = PartitionCsr(data, k);
   std::vector<Rng> rngs = WorkerRngs(k);
+  // Host pool for the workers' local computations (see "Host
+  // parallelism" below) and for evaluation.
+  const size_t host_threads = ResolveHostThreads(config().host_threads);
+  std::unique_ptr<ThreadPool> pool;
+  if (host_threads > 1 && k > 1) {
+    pool = std::make_unique<ThreadPool>(std::min(host_threads, k));
+  }
 
   // Warm start (the λ path): seed the server model before any worker
   // pulls, and refresh the crash-restore snapshot so a shard failure
@@ -222,7 +229,8 @@ TrainResult PsTrainer::Train(const Dataset& data,
   }
 
   result.curve.set_label(name());
-  result.curve.Add(resumed_round, 0.0, Eval(data, server.model()));
+  result.curve.Add(resumed_round, 0.0,
+                   Eval(partitions, server.model(), pool.get()));
 
   ScopedSpan run_span("train:" + name(), "trainer");
   // The whole PS event loop is kPs host time; the nested kKernels /
@@ -349,11 +357,6 @@ TrainResult PsTrainer::Train(const Dataset& data,
   // Lower bound on every in-flight compute's push time: the earliest
   // pull completion among them (reset by drain()).
   SimTime inflight_bound = std::numeric_limits<SimTime>::infinity();
-  const size_t host_threads = ResolveHostThreads(config().host_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (host_threads > 1 && k > 1) {
-    pool = std::make_unique<ThreadPool>(std::min(host_threads, k));
-  }
 
   auto drain = [&] {
     if (inflight.empty()) return;
@@ -513,7 +516,8 @@ TrainResult PsTrainer::Train(const Dataset& data,
       SaveCheckpoint(config().checkpoint, layout);
     }
     if (completed % config().eval_every == 0 || completed >= max_rounds) {
-      const double objective = Eval(data, server.model());
+      const double objective =
+          Eval(partitions, server.model(), pool.get());
       RecordEval(completed, rs.end, objective, &result);
       if (IsDiverged(objective)) {
         result.diverged = true;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/csr_block.h"
 #include "core/datapoint.h"
 #include "core/gd.h"
@@ -79,9 +80,27 @@ class GlmObjective {
                                    Rng* rng, DenseVector* w) const = 0;
 
   /// Mean pointwise loss (1/n) Σ l(w, xᵢ, yᵢ), without the
-  /// regularizer — the data term of the evaluated objective.
+  /// regularizer, over unpacked points (the trainers evaluate through
+  /// MeanPartitionLoss instead).
   virtual double MeanPointLoss(const std::vector<DataPoint>& points,
                                const DenseVector& w) const = 0;
+
+  /// Writes the pointwise loss l(w, xᵢ, yᵢ) of rows [begin, end) of
+  /// `block` to out[0], out[stride], out[2·stride], ... Always f64:
+  /// the recorded loss curves must expose any f32 training drift.
+  virtual void RowLosses(const CsrBlock& block, size_t begin, size_t end,
+                         const DenseVector& w, double* out,
+                         size_t stride) const = 0;
+
+  /// The data term of the evaluated objective, (1/n) Σ l(w, xᵢ, yᵢ),
+  /// over a dataset dealt round-robin into `partitions` (PartitionCsr:
+  /// global row i is row i / k of partition i % k). The partitions
+  /// fill a bounded scratch block of global rows on `pool` (or
+  /// sequentially when it is null), and the block is summed in
+  /// dataset row order. So the result is bit-identical to MeanPointLoss
+  /// over the unpacked rows for every k and every pool size.
+  double MeanPartitionLoss(const std::vector<CsrBlock>& partitions,
+                           const DenseVector& w, ThreadPool* pool) const;
 
   virtual std::string name() const = 0;
 };

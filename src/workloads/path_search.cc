@@ -157,6 +157,13 @@ PathResult RunPath(const Dataset& data, const ClusterConfig& cluster,
                                 config.lambda_min_ratio, config.n_lambdas);
   }
 
+  // The rows the selection metric scores, packed once for the whole
+  // path: each fold's held-out share (on first use), or the full data
+  // without CV.
+  std::vector<std::vector<CsrBlock>> scored(
+      std::max<size_t>(config.num_folds, 1));
+  if (config.num_folds <= 1) scored[0] = PartitionCsr(data, 1);
+
   for (size_t i = next_index; i < result.lambdas.size(); ++i) {
     const double lambda = result.lambdas[i];
     const double wall_start = WallSeconds();
@@ -173,11 +180,12 @@ PathResult RunPath(const Dataset& data, const ClusterConfig& cluster,
             config.stratified_folds
                 ? StratifiedKFold(data, config.num_folds, f)
                 : KFold(data, config.num_folds, f);
+        if (scored[f].empty()) scored[f] = PartitionCsr(split.test, 1);
         auto trainer = MakeTrainer(
             config.system, SolveConfig(config, lambda, fold_warm[f]));
         TrainResult fold_result = trainer->Train(split.train, cluster);
-        held_out += view.objective->MeanPointLoss(split.test.points(),
-                                                  fold_result.final_weights);
+        held_out += view.objective->MeanPartitionLoss(
+            scored[f], fold_result.final_weights, nullptr);
         solve.sim_seconds += fold_result.sim_seconds;
         solve.comm_steps += fold_result.comm_steps;
         fold_warm[f] = std::move(fold_result.final_weights);
@@ -196,8 +204,8 @@ PathResult RunPath(const Dataset& data, const ClusterConfig& cluster,
     solve.comm_steps += full.comm_steps;
     solve.sim_seconds += full.sim_seconds;
     if (config.num_folds <= 1) {
-      solve.cv_loss = view.objective->MeanPointLoss(data.points(),
-                                                    full.final_weights);
+      solve.cv_loss = view.objective->MeanPartitionLoss(
+          scored[0], full.final_weights, nullptr);
     }
     warm = full.final_weights;
     solve.weights = std::move(full.final_weights);
