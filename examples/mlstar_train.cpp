@@ -7,10 +7,12 @@
 // Trains on a synthetic preset (or a LIBSVM file via --libsvm=path),
 // splits off a test set, reports convergence and held-out metrics, and
 // optionally saves the model. An out-of-range setting (e.g. --lr=-1,
-// --batch-fraction=0 or --workers=0) is rejected with the
-// TrainerConfig::Validate() or ClusterConfig::Validate() message and
-// exit code 1.
+// --batch-fraction=0, --workers=0 or --ps-shards=0) is rejected with
+// the TrainerConfig::Validate() or ClusterConfig::Validate() message
+// and exit code 1, and so is a negative count flag (--workers,
+// --ps-shards, --host_threads).
 #include <cstdio>
+#include <string>
 
 #include "common/flags.h"
 #include "core/metrics.h"
@@ -73,6 +75,19 @@ int main(int argc, char** argv) {
   if (flags.help_requested()) {
     std::printf("%s", flags.Usage().c_str());
     return 0;
+  }
+  // Count flags become size_t below; a negative one would wrap to
+  // ~2^64 instead of reaching the config checks.
+  for (const char* count : {"workers", "ps-shards", "host_threads"}) {
+    if (flags.GetInt64(count) < 0) {
+      std::fprintf(stderr, "invalid configuration: %s\n",
+                   Status::InvalidArgument(
+                       std::string("--") + count + " must be >= 0, got " +
+                       std::to_string(flags.GetInt64(count)))
+                       .ToString()
+                       .c_str());
+      return 1;
+    }
   }
 
   // --- data -------------------------------------------------------

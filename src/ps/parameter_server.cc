@@ -2,12 +2,44 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "common/logging.h"
+#include "common/strings.h"
 #include "obs/telemetry.h"
 #include "sim/network.h"
 
 namespace mllibstar {
+
+Status PsConfig::Validate() const {
+  if (num_shards == 0) {
+    return Status::InvalidArgument("PsConfig.num_shards must be >= 1, got 0");
+  }
+  if (staleness < 0) {
+    return Status::InvalidArgument("PsConfig.staleness must be >= 0, got " +
+                                   std::to_string(staleness));
+  }
+  const std::pair<const char*, double> seconds[] = {
+      {"request_timeout_sec", request_timeout_sec},
+      {"backoff_base_sec", backoff_base_sec},
+      {"backoff_max_sec", backoff_max_sec},
+      {"server_checkpoint_every_sec", server_checkpoint_every_sec},
+  };
+  for (const auto& [field, value] : seconds) {
+    if (!std::isfinite(value) || value < 0.0) {
+      return Status::InvalidArgument(std::string("PsConfig.") + field +
+                                     " must be finite and >= 0, got " +
+                                     FormatDouble(value));
+    }
+  }
+  if (!std::isfinite(delta_scale)) {
+    return Status::InvalidArgument(
+        "PsConfig.delta_scale must be finite, got " +
+        FormatDouble(delta_scale));
+  }
+  return Status::Ok();
+}
 
 PsContext::PsContext(SimCluster* sim, size_t dim, const PsConfig& config,
                      const GradientCodec* codec)

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "comm/codec.h"
+#include "common/status.h"
 #include "core/vector.h"
 #include "sim/sim_cluster.h"
 
@@ -61,6 +62,12 @@ struct PsConfig {
   /// SSP/ASP graceful degradation: pushes staler than the staleness
   /// bound are discarded (and counted) instead of applied.
   bool discard_stale_pushes = false;
+
+  /// InvalidArgument naming the first out-of-range field: num_shards
+  /// == 0, staleness < 0, a timeout, backoff or checkpoint interval
+  /// that is negative or not finite, or a non-finite delta_scale.
+  /// TrainerConfig::Validate runs it for every system.
+  Status Validate() const;
 };
 
 /// The global model sharded across server nodes, plus the timing model

@@ -344,6 +344,33 @@ constexpr BadConfigRow kBadConfigRows[] = {
        c->codec.topk_ratio = std::nan("");
      },
      "CodecConfig.topk_ratio"},
+    {"ps_num_shards_zero_petuum", SystemKind::kPetuum,
+     [](TrainerConfig* c) { c->ps.num_shards = 0; }, "PsConfig.num_shards"},
+    {"ps_staleness_negative", SystemKind::kPetuumStar,
+     [](TrainerConfig* c) {
+       c->ps.consistency = ConsistencyKind::kSsp;
+       c->ps.staleness = -1;
+     },
+     "PsConfig.staleness"},
+    {"ps_request_timeout_negative", SystemKind::kAngel,
+     [](TrainerConfig* c) { c->ps.request_timeout_sec = -0.5; },
+     "PsConfig.request_timeout_sec"},
+    {"ps_backoff_base_nan", SystemKind::kPetuum,
+     [](TrainerConfig* c) { c->ps.backoff_base_sec = std::nan(""); },
+     "PsConfig.backoff_base_sec"},
+    {"ps_backoff_max_infinite", SystemKind::kPetuumStar,
+     [](TrainerConfig* c) {
+       c->ps.backoff_max_sec = std::numeric_limits<double>::infinity();
+     },
+     "PsConfig.backoff_max_sec"},
+    {"ps_server_checkpoint_every_negative", SystemKind::kAngel,
+     [](TrainerConfig* c) { c->ps.server_checkpoint_every_sec = -1.0; },
+     "PsConfig.server_checkpoint_every_sec"},
+    {"ps_delta_scale_nan", SystemKind::kPetuum,
+     [](TrainerConfig* c) { c->ps.delta_scale = std::nan(""); },
+     "PsConfig.delta_scale"},
+    {"ps_num_shards_zero_mllib_star", SystemKind::kMllibStar,
+     [](TrainerConfig* c) { c->ps.num_shards = 0; }, "PsConfig.num_shards"},
 };
 
 INSTANTIATE_TEST_SUITE_P(
