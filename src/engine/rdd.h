@@ -184,10 +184,7 @@ class Rdd {
   explicit Rdd(SparkCluster* cluster) : cluster_(cluster) {}
 
   size_t DefaultAggregators() const {
-    size_t k = cluster_->num_workers();
-    size_t aggs = 1;
-    while (aggs * aggs < k) ++aggs;
-    return aggs;
+    return DefaultTreeAggregators(cluster_->num_workers());
   }
 
   /// Runs one BSP stage: each executor materializes its partition

@@ -18,6 +18,11 @@ size_t ResolveHostThreads(size_t host_threads) {
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
+size_t DefaultTreeAggregators(size_t k) {
+  return std::max<size_t>(
+      1, static_cast<size_t>(std::sqrt(static_cast<double>(k))));
+}
+
 SparkCluster::SparkCluster(const ClusterConfig& config, size_t host_threads)
     : sim_(config), host_threads_(ResolveHostThreads(host_threads)) {
   if (host_threads_ > 1 && sim_.num_workers() > 1) {

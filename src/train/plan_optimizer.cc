@@ -31,7 +31,8 @@ PlanCost EstimateStepCost(SystemKind system, const DatasetStats& stats,
   const double batch_rows =
       std::max(1.0, config.batch_fraction * partition_rows);
   const double batch_nnz = batch_rows * stats.avg_nnz_per_row;
-  const double aggregators = std::max(1.0, std::floor(std::sqrt(k)));
+  const double aggregators =
+      static_cast<double>(DefaultTreeAggregators(cluster.num_workers));
   const double shards =
       std::max<double>(1.0, static_cast<double>(config.ps.num_shards));
   const bool regularized = config.regularizer != RegularizerKind::kNone;
